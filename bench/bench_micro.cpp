@@ -377,12 +377,12 @@ void run_thread_scaling_sweep() {
 }
 
 // --- GEMM / conv roofline ----------------------------------------------------
-// Single-thread GF/s across three rungs: the naive reference, the packed
-// cache-blocked core pinned to the scalar microkernels, and the packed core
-// under the dispatched SIMD backend (AVX2 where the CPU has it). Written to
-// bench_out/gemm_scaling.csv with backend + CPU feature columns; the
-// headline acceptance numbers are the packed/naive ratio and the
-// simd/packed-scalar ratio at 256^3.
+// Single-thread GF/s across three rungs: the naive reference (GEMM rows
+// only), the packed cache-blocked core pinned to the scalar microkernels,
+// and the packed core under the dispatched SIMD backend (AVX2 where the CPU
+// has it). Written to bench_out/gemm_scaling.csv with backend + CPU feature
+// columns; the headline acceptance numbers are the packed/naive ratio and
+// the simd/packed-scalar ratio at 256^3.
 
 double time_ms_of(const std::function<void()>& fn, int repeats) {
   fn();  // warm-up (also sizes the workspace arenas)
@@ -471,16 +471,14 @@ void run_gemm_roofline() {
     report(s.name, s.m, s.n, s.k, flops, naive_ms, packed_ms, simd_ms);
   }
 
-  // Dense conv ops end to end: backend() routes the forward to im2col+GEMM
-  // (packed) or to the retired direct kernels (naive).
+  // Dense conv ops end to end through their one lowering, im2col+GEMM. Like
+  // the depthwise and ADI rows below they have no naive rung: naive_ms
+  // repeats the scalar time so the speedup column reads 1.0 and only
+  // simd_speedup is meaningful.
   const auto conv_case = [&](const std::string& name, double flops,
                              int repeats, const std::function<void()>& fwd) {
-    gemm::set_backend(gemm::Backend::kNaive);
-    simd::set_active(simd::Isa::kScalar);
-    const double naive_ms = time_ms_of(fwd, repeats);
-    gemm::set_backend(gemm::Backend::kPacked);
-    const auto [packed_ms, simd_ms] = scalar_vs_simd(fwd, repeats);
-    report(name, 0, 0, 0, flops, naive_ms, packed_ms, simd_ms);
+    const auto [scalar_ms, simd_ms] = scalar_vs_simd(fwd, repeats);
+    report(name, 0, 0, 0, flops, scalar_ms, scalar_ms, simd_ms);
   };
   {
     auto x = random_value(Shape{8, 16, 32, 32}, 13);
@@ -511,9 +509,8 @@ void run_gemm_roofline() {
               });
   }
 
-  // Kernels with no naive-GEMM rung: the depthwise convs and one rigorous
-  // ADI-split PEB step. naive_ms repeats the scalar time so the speedup
-  // column reads 1.0 and only simd_speedup is meaningful.
+  // The depthwise convs and one rigorous ADI-split PEB step, reported the
+  // same way.
   {
     auto x = random_value(Shape{8, 16, 32, 32}, 27);
     auto w = random_value(Shape{8, 3, 3, 3}, 28);

@@ -11,8 +11,6 @@
 #include "common/gemm.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
@@ -29,15 +27,6 @@
 namespace sdmpeb::gemm {
 
 namespace {
-
-Backend& backend_slot() {
-  static Backend backend = [] {
-    const char* env = std::getenv("SDMPEB_GEMM_NAIVE");
-    const bool naive = env && *env != '\0' && std::strcmp(env, "0") != 0;
-    return naive ? Backend::kNaive : Backend::kPacked;
-  }();
-  return backend;
-}
 
 /// beta pre-pass for the degenerate k == 0 case (no products to add).
 void scale_c(std::int64_t m, std::int64_t n, float* c, std::int64_t ldc,
@@ -173,10 +162,6 @@ KernelSet active_kernels() {
 
 }  // namespace
 
-Backend backend() { return backend_slot(); }
-
-void set_backend(Backend b) { backend_slot() = b; }
-
 void gemm_naive(std::int64_t m, std::int64_t n, std::int64_t k,
                 const float* a, std::int64_t lda, bool trans_a,
                 const float* b, std::int64_t ldb, bool trans_b, float* c,
@@ -268,13 +253,9 @@ void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k,
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
           std::int64_t lda, bool trans_a, const float* b, std::int64_t ldb,
           bool trans_b, float* c, std::int64_t ldc, float beta) {
-  const bool naive = backend() == Backend::kNaive;
   if (!obs::trace_enabled()) {
-    // Zero-instrumentation fast path: one predicted-taken branch above.
-    if (naive)
-      gemm_naive(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, beta);
-    else
-      gemm_packed(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, beta);
+    // Zero-instrumentation fast path: one predicted-taken branch.
+    gemm_packed(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, beta);
     return;
   }
 
@@ -284,20 +265,15 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
                      static_cast<std::uint64_t>(k);
   SDMPEB_SPAN("gemm", "flops", static_cast<std::int64_t>(flops));
   const std::uint64_t t0 = obs::now_ns();
-  if (naive)
-    gemm_naive(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, beta);
-  else
-    gemm_packed(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, beta);
+  gemm_packed(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, beta);
   const std::uint64_t dt_ns = obs::now_ns() - t0;
 
   static obs::Counter& calls = obs::counter("gemm.calls");
   static obs::Counter& total_flops = obs::counter("gemm.flops");
   static obs::Counter& total_ns = obs::counter("gemm.time_ns");
-  static obs::Counter& backend_packed = obs::counter("gemm.backend.packed");
-  static obs::Counter& backend_naive = obs::counter("gemm.backend.naive");
   static obs::Histogram& call_gflops = obs::histogram(
       "gemm.call_gflops", {0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
-  // Per-ISA throughput splits (the naive reference is always scalar code).
+  // Per-ISA throughput splits.
   static obs::Histogram& call_gflops_scalar = obs::histogram(
       "gemm.call_gflops.scalar", {0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
   static obs::Histogram& call_gflops_avx2 = obs::histogram(
@@ -306,14 +282,12 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
   calls.add(1);
   total_flops.add(flops);
   total_ns.add(dt_ns);
-  (naive ? backend_naive : backend_packed).add(1);
   if (dt_ns > 0 && flops > 0) {
     const double gflops =
         static_cast<double>(flops) / static_cast<double>(dt_ns);
     call_gflops.add(gflops);
-    const simd::Isa isa =
-        naive ? simd::Isa::kScalar : simd::active();
-    (isa == simd::Isa::kAvx2 ? call_gflops_avx2 : call_gflops_scalar)
+    (simd::active() == simd::Isa::kAvx2 ? call_gflops_avx2
+                                        : call_gflops_scalar)
         .add(gflops);
   }
 }

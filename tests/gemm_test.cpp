@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -19,27 +21,25 @@ namespace nnops = nn::ops;
 using nn::Value;
 using sdmpeb::testing::expect_gradients_match;
 
-/// Restores thread count, GEMM backend, and kernel backend after each test
-/// so ordering cannot leak state. The kernel backend is pinned to scalar for
-/// the duration of each test: the packed-vs-naive BITWISE contract holds per
+/// Restores thread count and kernel backend after each test so ordering
+/// cannot leak state. The kernel backend is pinned to scalar for the
+/// duration of each test: the packed-vs-naive BITWISE contract holds per
 /// kernel backend (DESIGN.md §11), and naive always runs scalar, so these
 /// tests exercise the scalar microtile. Cross-backend agreement (tolerance)
-/// is covered by simd_test.
+/// is covered by simd_test; the conv reference tests below switch backends
+/// themselves.
 class GemmTest : public ::testing::Test {
  protected:
   void SetUp() override {
     threads_ = parallel::thread_count();
-    backend_ = gemm::backend();
     isa_ = simd::active();
     simd::set_active(simd::Isa::kScalar);
   }
   void TearDown() override {
     parallel::set_thread_count(threads_);
-    gemm::set_backend(backend_);
     simd::set_active(isa_);
   }
   int threads_ = 1;
-  gemm::Backend backend_ = gemm::Backend::kPacked;
   simd::Isa isa_ = simd::Isa::kScalar;
 };
 
@@ -156,9 +156,11 @@ TEST_F(GemmTest, DegenerateKScalesC) {
 }
 
 // ---------------------------------------------------------------------------
-// Conv lowerings: the im2col/GEMM path against the retired direct kernels.
-// Different accumulation orders and precisions (float panels vs double
-// scalars), so agreement is to a relative tolerance, not bitwise.
+// Conv lowerings: each dense conv forward (im2col + GEMM) against a plain
+// single-threaded loop that accumulates in double, under every kernel
+// backend this host supports. Different accumulation orders and precisions,
+// so agreement is to a relative tolerance, not bitwise. Backward passes are
+// covered by the gradchecks below and in nn_autograd_test.
 // ---------------------------------------------------------------------------
 
 Tensor random_tensor(Shape shape, std::uint64_t seed) {
@@ -175,62 +177,174 @@ void expect_close(const Tensor& got, const Tensor& want, float tol) {
   }
 }
 
-/// Forward the same op under both backends and compare values.
-void expect_backends_agree(
-    const std::function<Value(gemm::Backend)>& run, float tol = 1e-4f) {
-  gemm::set_backend(gemm::Backend::kPacked);
-  Value packed = run(gemm::Backend::kPacked);
-  gemm::set_backend(gemm::Backend::kNaive);
-  Value direct = run(gemm::Backend::kNaive);
-  gemm::set_backend(gemm::Backend::kPacked);
-  expect_close(packed->value(), direct->value(), tol);
+/// Compare `op()` against `want` under the scalar backend and, when the CPU
+/// has it, AVX2. The fixture restores the active backend afterwards.
+void expect_matches_reference(const std::function<Value()>& op,
+                              const Tensor& want, float tol = 1e-4f) {
+  std::vector<simd::Isa> isas = {simd::Isa::kScalar};
+  if (simd::cpu_has_avx2()) isas.push_back(simd::Isa::kAvx2);
+  for (const simd::Isa isa : isas) {
+    SCOPED_TRACE(simd::isa_name(isa));
+    simd::set_active(isa);
+    expect_close(op()->value(), want, tol);
+  }
 }
 
-TEST_F(GemmTest, Conv2dBackendsAgree) {
+/// x (cin, depth, hin, win), w (cout, cin, kh, kw): a 2-D conv per depth.
+Tensor conv2d_reference(const Tensor& x, const Tensor& w, const Tensor& b,
+                        std::int64_t stride, std::int64_t pad) {
+  const auto cin = x.dim(0), depth = x.dim(1), hin = x.dim(2),
+             win = x.dim(3);
+  const auto cout = w.dim(0), kh = w.dim(2), kw = w.dim(3);
+  const auto hout = (hin + 2 * pad - kh) / stride + 1;
+  const auto wout = (win + 2 * pad - kw) / stride + 1;
+  Tensor out(Shape{cout, depth, hout, wout});
+  for (std::int64_t co = 0; co < cout; ++co)
+    for (std::int64_t d = 0; d < depth; ++d)
+      for (std::int64_t ho = 0; ho < hout; ++ho)
+        for (std::int64_t wo = 0; wo < wout; ++wo) {
+          double acc = b[co];
+          for (std::int64_t ci = 0; ci < cin; ++ci)
+            for (std::int64_t i = 0; i < kh; ++i)
+              for (std::int64_t j = 0; j < kw; ++j) {
+                const auto hi = ho * stride - pad + i;
+                const auto wi = wo * stride - pad + j;
+                if (hi < 0 || hi >= hin || wi < 0 || wi >= win) continue;
+                acc += static_cast<double>(
+                           x[((ci * depth + d) * hin + hi) * win + wi]) *
+                       w[((co * cin + ci) * kh + i) * kw + j];
+              }
+          out[((co * depth + d) * hout + ho) * wout + wo] =
+              static_cast<float>(acc);
+        }
+  return out;
+}
+
+/// x (cin, depth, hin, win), w (cin, cout, kh, kw): input site (h, ww)
+/// feeds output (h*stride - pad + i, ww*stride - pad + j); gathered here
+/// per output element.
+Tensor conv_transpose2d_reference(const Tensor& x, const Tensor& w,
+                                  const Tensor& b, std::int64_t stride,
+                                  std::int64_t pad) {
+  const auto cin = x.dim(0), depth = x.dim(1), hin = x.dim(2),
+             win = x.dim(3);
+  const auto cout = w.dim(1), kh = w.dim(2), kw = w.dim(3);
+  const auto hout = (hin - 1) * stride - 2 * pad + kh;
+  const auto wout = (win - 1) * stride - 2 * pad + kw;
+  Tensor out(Shape{cout, depth, hout, wout});
+  for (std::int64_t co = 0; co < cout; ++co)
+    for (std::int64_t d = 0; d < depth; ++d)
+      for (std::int64_t ho = 0; ho < hout; ++ho)
+        for (std::int64_t wo = 0; wo < wout; ++wo) {
+          double acc = b[co];
+          for (std::int64_t ci = 0; ci < cin; ++ci)
+            for (std::int64_t i = 0; i < kh; ++i)
+              for (std::int64_t j = 0; j < kw; ++j) {
+                const auto hs = ho + pad - i;
+                const auto ws = wo + pad - j;
+                if (hs < 0 || ws < 0 || hs % stride || ws % stride) continue;
+                const auto h = hs / stride;
+                const auto ww = ws / stride;
+                if (h >= hin || ww >= win) continue;
+                acc += static_cast<double>(
+                           x[((ci * depth + d) * hin + h) * win + ww]) *
+                       w[((ci * cout + co) * kh + i) * kw + j];
+              }
+          out[((co * depth + d) * hout + ho) * wout + wo] =
+              static_cast<float>(acc);
+        }
+  return out;
+}
+
+/// x (cin, din, hin, win), w (cout, cin, kd, kh, kw).
+Tensor conv3d_reference(const Tensor& x, const Tensor& w, const Tensor& b,
+                        std::int64_t stride, std::int64_t pad) {
+  const auto cin = x.dim(0), din = x.dim(1), hin = x.dim(2), win = x.dim(3);
+  const auto cout = w.dim(0), kd = w.dim(2), kh = w.dim(3), kw = w.dim(4);
+  const auto dout = (din + 2 * pad - kd) / stride + 1;
+  const auto hout = (hin + 2 * pad - kh) / stride + 1;
+  const auto wout = (win + 2 * pad - kw) / stride + 1;
+  Tensor out(Shape{cout, dout, hout, wout});
+  for (std::int64_t co = 0; co < cout; ++co)
+    for (std::int64_t od = 0; od < dout; ++od)
+      for (std::int64_t oh = 0; oh < hout; ++oh)
+        for (std::int64_t ow = 0; ow < wout; ++ow) {
+          double acc = b[co];
+          for (std::int64_t ci = 0; ci < cin; ++ci)
+            for (std::int64_t a = 0; a < kd; ++a)
+              for (std::int64_t i = 0; i < kh; ++i)
+                for (std::int64_t j = 0; j < kw; ++j) {
+                  const auto id = od * stride - pad + a;
+                  const auto ih = oh * stride - pad + i;
+                  const auto iw = ow * stride - pad + j;
+                  if (id < 0 || id >= din || ih < 0 || ih >= hin || iw < 0 ||
+                      iw >= win)
+                    continue;
+                  acc += static_cast<double>(
+                             x[((ci * din + id) * hin + ih) * win + iw]) *
+                         w[(((co * cin + ci) * kd + a) * kh + i) * kw + j];
+                }
+          out[((co * dout + od) * hout + oh) * wout + ow] =
+              static_cast<float>(acc);
+        }
+  return out;
+}
+
+TEST_F(GemmTest, Conv2dMatchesReference) {
   const auto x = random_tensor(Shape{3, 2, 9, 11}, 21);
   const auto w = random_tensor(Shape{4, 3, 3, 3}, 22);
   const auto b = random_tensor(Shape{4}, 23);
   for (auto [stride, pad] : {std::pair<std::int64_t, std::int64_t>{1, 1},
                              {2, 1},
-                             {1, 0}})
-    expect_backends_agree([&, stride = stride, pad = pad](gemm::Backend) {
-      return nnops::conv2d_per_depth(nn::constant(x), nn::constant(w),
-                                     nn::constant(b), stride, pad);
-    });
+                             {1, 0}}) {
+    SCOPED_TRACE(::testing::Message() << "stride=" << stride << " pad=" << pad);
+    expect_matches_reference(
+        [&, stride = stride, pad = pad] {
+          return nnops::conv2d_per_depth(nn::constant(x), nn::constant(w),
+                                         nn::constant(b), stride, pad);
+        },
+        conv2d_reference(x, w, b, stride, pad));
+  }
 }
 
-TEST_F(GemmTest, ConvTranspose2dBackendsAgree) {
+TEST_F(GemmTest, ConvTranspose2dMatchesReference) {
   const auto x = random_tensor(Shape{3, 2, 5, 6}, 31);
   const auto w = random_tensor(Shape{3, 2, 3, 3}, 32);
   const auto b = random_tensor(Shape{2}, 33);
   for (auto [stride, pad] : {std::pair<std::int64_t, std::int64_t>{1, 1},
                              {2, 1},
-                             {2, 0}})
-    expect_backends_agree([&, stride = stride, pad = pad](gemm::Backend) {
-      return nnops::conv_transpose2d_per_depth(
-          nn::constant(x), nn::constant(w), nn::constant(b), stride, pad);
-    });
+                             {2, 0}}) {
+    SCOPED_TRACE(::testing::Message() << "stride=" << stride << " pad=" << pad);
+    expect_matches_reference(
+        [&, stride = stride, pad = pad] {
+          return nnops::conv_transpose2d_per_depth(
+              nn::constant(x), nn::constant(w), nn::constant(b), stride, pad);
+        },
+        conv_transpose2d_reference(x, w, b, stride, pad));
+  }
 }
 
-TEST_F(GemmTest, Conv3dBackendsAgree) {
+TEST_F(GemmTest, Conv3dMatchesReference) {
   const auto x = random_tensor(Shape{2, 5, 7, 6}, 41);
   const auto w = random_tensor(Shape{3, 2, 3, 3, 3}, 42);
   const auto b = random_tensor(Shape{3}, 43);
   for (auto [stride, pad] : {std::pair<std::int64_t, std::int64_t>{1, 1},
-                             {2, 1}})
-    expect_backends_agree([&, stride = stride, pad = pad](gemm::Backend) {
-      return nnops::conv3d(nn::constant(x), nn::constant(w), nn::constant(b),
-                           stride, pad);
-    });
+                             {2, 1}}) {
+    SCOPED_TRACE(::testing::Message() << "stride=" << stride << " pad=" << pad);
+    expect_matches_reference(
+        [&, stride = stride, pad = pad] {
+          return nnops::conv3d(nn::constant(x), nn::constant(w),
+                               nn::constant(b), stride, pad);
+        },
+        conv3d_reference(x, w, b, stride, pad));
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Gradchecks on the im2col paths (backend forced to kPacked so an
-// SDMPEB_GEMM_NAIVE environment cannot silently retarget the test).
+// Gradchecks on the im2col paths.
 // ---------------------------------------------------------------------------
 
 TEST_F(GemmTest, GradCheckConv2dIm2col) {
-  gemm::set_backend(gemm::Backend::kPacked);
   expect_gradients_match(
       [](const std::vector<Value>& v) {
         return nnops::sum(
@@ -241,7 +355,6 @@ TEST_F(GemmTest, GradCheckConv2dIm2col) {
 }
 
 TEST_F(GemmTest, GradCheckConvTranspose2dIm2col) {
-  gemm::set_backend(gemm::Backend::kPacked);
   expect_gradients_match(
       [](const std::vector<Value>& v) {
         return nnops::sum(nnops::square(
@@ -252,7 +365,6 @@ TEST_F(GemmTest, GradCheckConvTranspose2dIm2col) {
 }
 
 TEST_F(GemmTest, GradCheckConv3dIm2col) {
-  gemm::set_backend(gemm::Backend::kPacked);
   expect_gradients_match(
       [](const std::vector<Value>& v) {
         return nnops::sum(
@@ -289,7 +401,6 @@ void expect_steady_state_no_alloc(const std::function<void()>& step) {
 }
 
 TEST_F(GemmTest, ArenaStopsAllocatingAfterWarmup) {
-  gemm::set_backend(gemm::Backend::kPacked);
   parallel::set_thread_count(2);
   const auto x0 = random_tensor(Shape{2, 3, 12, 12}, 61);
   const auto w0 = random_tensor(Shape{4, 2, 3, 3}, 62);

@@ -25,21 +25,18 @@ namespace {
 namespace nnops = nn::ops;
 using nn::Value;
 
-/// Restores thread count, GEMM backend, and kernel backend after each test.
+/// Restores thread count and kernel backend after each test.
 class SimdTest : public ::testing::Test {
  protected:
   void SetUp() override {
     threads_ = parallel::thread_count();
-    backend_ = gemm::backend();
     isa_ = simd::active();
   }
   void TearDown() override {
     parallel::set_thread_count(threads_);
-    gemm::set_backend(backend_);
     simd::set_active(isa_);
   }
   int threads_ = 1;
-  gemm::Backend backend_ = gemm::Backend::kPacked;
   simd::Isa isa_ = simd::Isa::kScalar;
 };
 
