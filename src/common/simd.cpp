@@ -5,6 +5,7 @@
 
 #include "common/simd.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -107,6 +108,13 @@ TridiagLines4Fn tridiag_lines4() {
   return nullptr;
 }
 
+ScanBlock8Fn scan_block8() {
+#if SDMPEB_SIMD_X86
+  if (active() == Isa::kAvx2) return &avx2::scan_block8;
+#endif
+  return nullptr;
+}
+
 // --------------------------- elementwise ----------------------------------
 
 #if SDMPEB_SIMD_X86
@@ -172,6 +180,42 @@ void vleaky_relu_bwd(float* dst, const float* g, const float* in, float slope,
   SDMPEB_SIMD_DISPATCH(vleaky_relu_bwd(dst, g, in, slope, n))
   for (std::int64_t i = 0; i < n; ++i)
     dst[i] += g[i] * (in[i] > 0.0f ? 1.0f : slope);
+}
+
+// ---------------------------- transcendentals -----------------------------
+
+float sigmoid_ref(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+
+void vexp(float* dst, const float* src, std::int64_t n) {
+  SDMPEB_SIMD_DISPATCH(vexp(dst, src, n))
+  for (std::int64_t i = 0; i < n; ++i) dst[i] = std::exp(src[i]);
+}
+
+void vsigmoid(float* dst, const float* src, std::int64_t n) {
+  SDMPEB_SIMD_DISPATCH(vsigmoid(dst, src, n))
+  for (std::int64_t i = 0; i < n; ++i) dst[i] = sigmoid_ref(src[i]);
+}
+
+void vsilu(float* dst, const float* src, std::int64_t n) {
+  SDMPEB_SIMD_DISPATCH(vsilu(dst, src, n))
+  for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i] * sigmoid_ref(src[i]);
+}
+
+void vsoftplus(float* dst, const float* src, std::int64_t n) {
+  SDMPEB_SIMD_DISPATCH(vsoftplus(dst, src, n))
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float v = src[i];
+    dst[i] = std::max(v, 0.0f) + std::log1p(std::exp(-std::abs(v)));
+  }
+}
+
+void vgelu(float* dst, const float* src, std::int64_t n) {
+  SDMPEB_SIMD_DISPATCH(vgelu(dst, src, n))
+  const float c = 0.7978845608028654f;  // sqrt(2/pi)
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float v = src[i];
+    dst[i] = 0.5f * v * (1.0f + std::tanh(c * (v + 0.044715f * v * v * v)));
+  }
 }
 
 // ---------------------------- layer norm -----------------------------------

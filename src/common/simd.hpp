@@ -15,8 +15,9 @@
 //     leaky_relu) perform the same correctly-rounded IEEE op sequence in
 //     both backends — no FMA contraction — so they are bitwise identical
 //     ACROSS backends too.
-//   - GEMM, depthwise conv, layer norm, and the ADI line solves change the
-//     accumulation shape under AVX2 (FMA, lane-split sums); those are
+//   - GEMM, depthwise conv, layer norm, the ADI line solves, the
+//     transcendental maps and the frozen selective scan change the rounding
+//     chain under AVX2 (FMA, lane-split sums, a polynomial exp); those are
 //     tolerance-checked cross-backend and bitwise only within a backend.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SDMPEB_SIMD_X86 1
@@ -99,6 +100,31 @@ void vleaky_relu_bwd(float* dst, const float* g, const float* in, float slope,
                      std::int64_t n);
 
 // ---------------------------------------------------------------------------
+// Transcendental maps (forward only: the autograd backwards stay scalar).
+// The scalar backend evaluates the reference std:: formulas below, exactly
+// what the nn ops always computed. The AVX2 backend builds all five on one
+// range-reduced polynomial exp whose error is at most kExpMaxUlp ulp for
+// results >= FLT_MIN; smaller results round once into the subnormals or to
+// +0, overflow gives +inf, and NaN in gives NaN out. Tolerance cross-backend
+// (DESIGN.md §11). dst may alias src.
+// ---------------------------------------------------------------------------
+
+/// Max ulp error of the AVX2 exp against the correctly rounded result, for
+/// results in the normal range. Pinned by SimdTest.VexpUlpBound.
+inline constexpr int kExpMaxUlp = 1;
+
+void vexp(float* dst, const float* src, std::int64_t n);     ///< exp(x)
+void vsigmoid(float* dst, const float* src, std::int64_t n); ///< 1/(1+e^-x)
+void vsilu(float* dst, const float* src, std::int64_t n);    ///< x sigmoid(x)
+/// max(x, 0) + log1p(exp(-|x|)), the overflow-safe log(1 + e^x).
+void vsoftplus(float* dst, const float* src, std::int64_t n);
+/// 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), the tanh-form GELU.
+void vgelu(float* dst, const float* src, std::int64_t n);
+/// The scalar reference sigmoid: the scalar backend's vsigmoid/vsilu body and
+/// the derivative the silu/softplus backwards use.
+float sigmoid_ref(float x);
+
+// ---------------------------------------------------------------------------
 // Layer-norm row kernels. Scalar backend reproduces the historical loops
 // (ascending double accumulation); AVX2 accumulates in 4 double lanes folded
 // in a fixed order — deterministic per backend, tolerance cross-backend.
@@ -173,6 +199,35 @@ using TridiagLines4Fn = void (*)(const double* c, const double* denom,
 /// (callers run the scalar per-lane substitution).
 TridiagLines4Fn tridiag_lines4();
 
+// ---------------------------------------------------------------------------
+// Selective-scan forward (nn::ops::selective_scan, Eq. 11). The recurrence
+// is serial in t but independent per channel, so the AVX2 kernel runs eight
+// channels per vector with the N states held in registers: channel block
+// outermost, t innermost. It serves the frozen forward (no trajectory); the
+// scalar loop in nn/ops_scan.cpp is the reference and the taped path.
+// ---------------------------------------------------------------------------
+
+struct ScanArgs {
+  const float* x;      ///< (L, C) input sequence
+  const float* delta;  ///< (L, C) step sizes
+  const float* a_t;    ///< A = -exp(a_log) transposed to (N, C)
+  const float* b;      ///< (L, N)
+  const float* c;      ///< (L, N)
+  const float* skip;   ///< (C) skip weights D
+  float* y;            ///< (L, C) output
+  std::int64_t seq_len, channels, states;
+};
+
+/// y for channels [c0, c0 + lanes), lanes in 1..8 (the tail block is
+/// masked). h_scratch holds 8 * states floats, 32-byte aligned: the state
+/// vectors when N is not a register-resident size.
+using ScanBlock8Fn = void (*)(const ScanArgs& args, std::int64_t c0,
+                              std::int64_t lanes, float* h_scratch);
+
+/// The AVX2 8-channel scan block when that backend is active, else nullptr
+/// (the caller runs the scalar recurrence).
+ScanBlock8Fn scan_block8();
+
 #if SDMPEB_SIMD_X86
 /// Raw AVX2 kernels (simd_avx2.cpp, compiled -mavx2 -mfma -ffp-contract=off).
 /// Call only through the dispatchers above — these are exposed for the
@@ -192,6 +247,11 @@ void vrelu_bwd(float* dst, const float* g, const float* in, std::int64_t n);
 void vleaky_relu(float* dst, const float* src, float slope, std::int64_t n);
 void vleaky_relu_bwd(float* dst, const float* g, const float* in, float slope,
                      std::int64_t n);
+void vexp(float* dst, const float* src, std::int64_t n);
+void vsigmoid(float* dst, const float* src, std::int64_t n);
+void vsilu(float* dst, const float* src, std::int64_t n);
+void vsoftplus(float* dst, const float* src, std::int64_t n);
+void vgelu(float* dst, const float* src, std::int64_t n);
 void layer_norm_stats(const float* row, std::int64_t n, float eps,
                       float* mean_out, float* inv_sigma_out);
 void layer_norm_apply(float* out_row, float* xhat_row, const float* row,
@@ -217,6 +277,8 @@ void dwconv1d_interior_row(float* orow, const float* x, const float* wt,
 void tridiag_lines4(const double* c, const double* denom, const double* sub,
                     std::int64_t n, double* data, std::int64_t elem_stride,
                     std::int64_t lane_stride, double rhs0_add, double* d4);
+void scan_block8(const ScanArgs& args, std::int64_t c0, std::int64_t lanes,
+                 float* h_scratch);
 }  // namespace avx2
 #endif  // SDMPEB_SIMD_X86
 

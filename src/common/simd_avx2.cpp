@@ -43,6 +43,105 @@ inline double hsum_ordered(__m256d v) {
   return ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
 }
 
+/// exp(x) for 8 lanes: x = n ln2 + r with |r| <= ln2/2 (ln2 split in two
+/// parts, Cody-Waite), e^r by the Cephes degree-6 polynomial, then the
+/// scale 2^n applied as two exact halves so a result below FLT_MIN rounds
+/// once into the subnormals and one above FLT_MAX becomes +inf. Max error
+/// kExpMaxUlp ulp for normal results.
+inline __m256 exp_ps(__m256 x) {
+  // max/min return their SECOND operand when either input is NaN, so with
+  // x second the clamp passes NaN through instead of turning it into a
+  // bound; NaN then propagates through every later op. The bounds only keep
+  // n in range: e^-104 rounds to +0 and e^89 overflows to +inf anyway.
+  x = _mm256_min_ps(_mm256_set1_ps(89.0f),
+                    _mm256_max_ps(_mm256_set1_ps(-104.0f), x));
+  const __m256 n = _mm256_round_ps(
+      _mm256_mul_ps(x, _mm256_set1_ps(1.44269504088896341f)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375f), x);
+  r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4f), r);
+  __m256 p = _mm256_set1_ps(1.9875691500e-4f);
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1f));
+  p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r);
+  p = _mm256_add_ps(p, _mm256_set1_ps(1.0f));
+  // n in [-150, 128]: halves in [-75, 64] are both normal powers of two.
+  const __m256i ni = _mm256_cvtps_epi32(n);
+  const __m256i n1 = _mm256_srai_epi32(ni, 1);
+  const __m256i n2 = _mm256_sub_epi32(ni, n1);
+  const __m256i bias = _mm256_set1_epi32(127);
+  const __m256 s1 =
+      _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_add_epi32(n1, bias), 23));
+  const __m256 s2 =
+      _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_add_epi32(n2, bias), 23));
+  return _mm256_mul_ps(_mm256_mul_ps(p, s1), s2);
+}
+
+/// 1 / (1 + e^-x) with a true division (no reciprocal approximation).
+inline __m256 sigmoid_ps(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  return _mm256_div_ps(
+      one, _mm256_add_ps(one, exp_ps(_mm256_sub_ps(_mm256_setzero_ps(), x))));
+}
+
+/// log(w) for positive normal w (Cephes logf): w = m 2^e with m in
+/// [sqrt(1/2), sqrt(2)), log(m) by a degree-9 polynomial in m - 1.
+inline __m256 log_ps(__m256 w) {
+  const __m256i bits = _mm256_castps_si256(w);
+  __m256 e = _mm256_cvtepi32_ps(_mm256_sub_epi32(
+      _mm256_srli_epi32(bits, 23), _mm256_set1_epi32(126)));
+  // Mantissa with the exponent of 0.5: m in [0.5, 1).
+  __m256 m = _mm256_castsi256_ps(_mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi32(0x007FFFFF)),
+      _mm256_set1_epi32(0x3F000000)));
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 small =
+      _mm256_cmp_ps(m, _mm256_set1_ps(0.707106781186547524f), _CMP_LT_OQ);
+  // m < sqrt(1/2): use 2m - 1 and e - 1; else m - 1.
+  e = _mm256_sub_ps(e, _mm256_and_ps(one, small));
+  m = _mm256_sub_ps(_mm256_add_ps(m, _mm256_and_ps(m, small)), one);
+  const __m256 z = _mm256_mul_ps(m, m);
+  __m256 y = _mm256_set1_ps(7.0376836292e-2f);
+  y = _mm256_fmadd_ps(y, m, _mm256_set1_ps(-1.1514610310e-1f));
+  y = _mm256_fmadd_ps(y, m, _mm256_set1_ps(1.1676998740e-1f));
+  y = _mm256_fmadd_ps(y, m, _mm256_set1_ps(-1.2420140846e-1f));
+  y = _mm256_fmadd_ps(y, m, _mm256_set1_ps(1.4249322787e-1f));
+  y = _mm256_fmadd_ps(y, m, _mm256_set1_ps(-1.6668057665e-1f));
+  y = _mm256_fmadd_ps(y, m, _mm256_set1_ps(2.0000714765e-1f));
+  y = _mm256_fmadd_ps(y, m, _mm256_set1_ps(-2.4999993993e-1f));
+  y = _mm256_fmadd_ps(y, m, _mm256_set1_ps(3.3333331174e-1f));
+  y = _mm256_mul_ps(_mm256_mul_ps(y, m), z);
+  y = _mm256_fmadd_ps(e, _mm256_set1_ps(-2.12194440e-4f), y);
+  y = _mm256_fnmadd_ps(_mm256_set1_ps(0.5f), z, y);
+  return _mm256_fmadd_ps(e, _mm256_set1_ps(0.693359375f), _mm256_add_ps(m, y));
+}
+
+/// log1p(u) for u in [0, 1] (or NaN): log(1 + u) scaled by u / ((1 + u) - 1),
+/// which cancels the rounding of 1 + u, so tiny u keeps full relative
+/// accuracy; 1 + u == 1 returns u itself.
+inline __m256 log1p_unit_ps(__m256 u) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 w = _mm256_add_ps(one, u);
+  const __m256 wm1 = _mm256_sub_ps(w, one);
+  const __m256 scaled = _mm256_div_ps(_mm256_mul_ps(log_ps(w), u), wm1);
+  return _mm256_blendv_ps(scaled, u, _mm256_cmp_ps(w, one, _CMP_EQ_OQ));
+}
+
+/// Apply `op` to full vectors, then once more to the masked tail.
+template <typename Op>
+inline void map_ps(float* dst, const float* src, std::int64_t n, Op op) {
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8)
+    _mm256_storeu_ps(dst + i, op(_mm256_loadu_ps(src + i)));
+  if (i < n) {
+    const __m256i m = tail_mask(n - i);
+    _mm256_maskstore_ps(dst + i, m, op(_mm256_maskload_ps(src + i, m)));
+  }
+}
+
 }  // namespace
 
 // ------------------------------ GEMM tile ----------------------------------
@@ -219,6 +318,102 @@ void vleaky_relu_bwd(float* dst, const float* g, const float* in, float slope,
                                _mm256_mul_ps(_mm256_loadu_ps(g + i), factor)));
   }
   for (; i < n; ++i) dst[i] += g[i] * (in[i] > 0.0f ? 1.0f : slope);
+}
+
+// ---------------------------- transcendentals ------------------------------
+// All built on exp_ps; tolerance-checked against the scalar std:: formulas.
+
+void vexp(float* dst, const float* src, std::int64_t n) {
+  map_ps(dst, src, n, [](__m256 x) { return exp_ps(x); });
+}
+
+void vsigmoid(float* dst, const float* src, std::int64_t n) {
+  map_ps(dst, src, n, [](__m256 x) { return sigmoid_ps(x); });
+}
+
+void vsilu(float* dst, const float* src, std::int64_t n) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  // x / (1 + e^-x): one rounding fewer than x * sigmoid(x), same limits.
+  map_ps(dst, src, n, [one](__m256 x) {
+    return _mm256_div_ps(
+        x, _mm256_add_ps(one, exp_ps(_mm256_sub_ps(_mm256_setzero_ps(), x))));
+  });
+}
+
+void vsoftplus(float* dst, const float* src, std::int64_t n) {
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  map_ps(dst, src, n, [sign](__m256 x) {
+    // max_ps(0, x) returns x for NaN and -0.0, like std::max(x, 0.0f).
+    const __m256 neg_abs = _mm256_or_ps(x, sign);
+    return _mm256_add_ps(_mm256_max_ps(_mm256_setzero_ps(), x),
+                         log1p_unit_ps(exp_ps(neg_abs)));
+  });
+}
+
+void vgelu(float* dst, const float* src, std::int64_t n) {
+  // 1 + tanh(u) = 2 / (1 + e^-2u), so gelu(x) = x / (1 + e^-2u) with
+  // u = sqrt(2/pi) (x + 0.044715 x^3): no cancellation where tanh(u) ~ -1.
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 k3 = _mm256_set1_ps(0.044715f);
+  const __m256 m2c = _mm256_set1_ps(-2.0f * 0.7978845608028654f);
+  map_ps(dst, src, n, [=](__m256 x) {
+    const __m256 x3 = _mm256_mul_ps(_mm256_mul_ps(x, x), x);
+    const __m256 arg = _mm256_mul_ps(m2c, _mm256_fmadd_ps(k3, x3, x));
+    return _mm256_div_ps(x, _mm256_add_ps(one, exp_ps(arg)));
+  });
+}
+
+// ------------------------------ selective scan -----------------------------
+
+namespace {
+
+/// kStates > 0: the state count is a compile-time constant and the N state
+/// vectors live in registers; 0: runtime N, states kept in h_scratch.
+template <int kStates>
+void scan_block8_impl(const ScanArgs& s, std::int64_t c0, std::int64_t lanes,
+                      float* h_scratch) {
+  const std::int64_t states = kStates > 0 ? kStates : s.states;
+  const std::int64_t cols = s.channels;
+  const bool full = lanes == 8;
+  const __m256i mask = tail_mask(lanes);
+  // Masked-off lanes load 0: x = delta = A = 0 keeps their state at 0.
+  const auto load = [&](const float* p) {
+    return full ? _mm256_loadu_ps(p) : _mm256_maskload_ps(p, mask);
+  };
+  __m256 h_reg[kStates > 0 ? kStates : 1];
+  __m256* h = kStates > 0 ? h_reg : reinterpret_cast<__m256*>(h_scratch);
+  for (std::int64_t n = 0; n < states; ++n) h[n] = _mm256_setzero_ps();
+  const __m256 skip = load(s.skip + c0);
+  const float* a_t = s.a_t + c0;
+  for (std::int64_t t = 0; t < s.seq_len; ++t) {
+    const __m256 x = load(s.x + t * cols + c0);
+    const __m256 dt = load(s.delta + t * cols + c0);
+    const __m256 dtx = _mm256_mul_ps(dt, x);
+    const float* brow = s.b + t * states;
+    const float* crow = s.c + t * states;
+    __m256 y = _mm256_mul_ps(skip, x);
+    for (std::int64_t n = 0; n < states; ++n) {
+      const __m256 a_bar = exp_ps(_mm256_mul_ps(dt, load(a_t + n * cols)));
+      h[n] = _mm256_fmadd_ps(a_bar, h[n],
+                             _mm256_mul_ps(dtx, _mm256_set1_ps(brow[n])));
+      y = _mm256_fmadd_ps(_mm256_set1_ps(crow[n]), h[n], y);
+    }
+    float* yrow = s.y + t * cols + c0;
+    if (full)
+      _mm256_storeu_ps(yrow, y);
+    else
+      _mm256_maskstore_ps(yrow, mask, y);
+  }
+}
+
+}  // namespace
+
+void scan_block8(const ScanArgs& args, std::int64_t c0, std::int64_t lanes,
+                 float* h_scratch) {
+  if (args.states == 8)
+    scan_block8_impl<8>(args, c0, lanes, h_scratch);
+  else
+    scan_block8_impl<0>(args, c0, lanes, h_scratch);
 }
 
 // ------------------------------ layer norm ---------------------------------

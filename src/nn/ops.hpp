@@ -16,6 +16,9 @@ Value sub(const Value& a, const Value& b);
 Value mul(const Value& a, const Value& b);
 Value add_scalar(const Value& a, float s);
 Value mul_scalar(const Value& a, float s);
+/// out[i, j] = col[i, 0] + row[0, j] for an (L, 1) column and a (1, C) row;
+/// the backward takes the row sums into col and the column sums into row.
+Value broadcast_add(const Value& col, const Value& row);
 
 Value relu(const Value& x);
 Value leaky_relu(const Value& x, float negative_slope = 0.01f);

@@ -10,17 +10,17 @@ namespace sdmpeb::nn::ops {
 
 namespace {
 
-/// Generic differentiable unary op: out[i] = fwd(x[i]); the backward closure
-/// receives the saved output and input values and must return dOut/dIn per
-/// element.
-Value unary_op(const Value& x, float (*fwd)(float),
+/// Generic differentiable unary op: out = fwd(x) through a chunked map
+/// kernel; the backward closure receives the saved input and output values
+/// and must return dOut/dIn per element.
+Value unary_op(const Value& x,
+               void (*fwd)(float* dst, const float* src, std::int64_t n),
                float (*dfdx)(float /*in*/, float /*out*/)) {
   const Tensor& in = x->value();
-  Tensor out = in;
+  Tensor out(in.shape());
   parallel::parallel_for(0, out.numel(), parallel::kFlatGrain,
                          [&](std::int64_t i0, std::int64_t i1) {
-                           for (std::int64_t i = i0; i < i1; ++i)
-                             out[i] = fwd(in[i]);
+                           fwd(out.raw() + i0, in.raw() + i0, i1 - i0);
                          });
   Value xc = x;
   return detail::make_result(
@@ -38,8 +38,6 @@ Value unary_op(const Value& x, float (*fwd)(float),
       });
 }
 
-float sigmoid_scalar(float v) { return 1.0f / (1.0f + std::exp(-v)); }
-
 }  // namespace
 
 Value add(const Value& a, const Value& b) {
@@ -52,6 +50,37 @@ Value add(const Value& a, const Value& b) {
     if (ac->requires_grad()) ac->grad() += g;
     if (bc->requires_grad()) bc->grad() += g;
   });
+}
+
+Value broadcast_add(const Value& col, const Value& row) {
+  const Tensor& cv = col->value();
+  const Tensor& rv = row->value();
+  SDMPEB_CHECK(cv.rank() == 2 && cv.dim(1) == 1);
+  SDMPEB_CHECK(rv.rank() == 2 && rv.dim(0) == 1);
+  const auto rows = cv.dim(0);
+  const auto cols = rv.dim(1);
+  Tensor out(Shape{rows, cols});
+  for (std::int64_t i = 0; i < rows; ++i)
+    for (std::int64_t j = 0; j < cols; ++j)
+      out[i * cols + j] = cv[i] + rv[j];
+  Value cc = col, rc = row;
+  return detail::make_result(
+      std::move(out), {col, row}, [cc, rc, rows, cols](Node& self) {
+        const Tensor& g = self.grad();
+        if (cc->requires_grad()) {
+          Tensor& gc = cc->grad();
+          for (std::int64_t i = 0; i < rows; ++i) {
+            float acc = 0.0f;
+            for (std::int64_t j = 0; j < cols; ++j) acc += g[i * cols + j];
+            gc[i] += acc;
+          }
+        }
+        if (rc->requires_grad()) {
+          Tensor& gr = rc->grad();
+          for (std::int64_t i = 0; i < rows; ++i)
+            for (std::int64_t j = 0; j < cols; ++j) gr[j] += g[i * cols + j];
+        }
+      });
 }
 
 Value sub(const Value& a, const Value& b) {
@@ -166,64 +195,53 @@ Value leaky_relu(const Value& x, float negative_slope) {
 }
 
 Value silu(const Value& x) {
-  return unary_op(
-      x, [](float v) { return v * sigmoid_scalar(v); },
-      [](float in, float) {
-        const float s = sigmoid_scalar(in);
-        return s * (1.0f + in * (1.0f - s));
-      });
+  return unary_op(x, &simd::vsilu, [](float in, float) {
+    const float s = simd::sigmoid_ref(in);
+    return s * (1.0f + in * (1.0f - s));
+  });
 }
 
 Value sigmoid(const Value& x) {
-  return unary_op(
-      x, [](float v) { return sigmoid_scalar(v); },
-      [](float, float out) { return out * (1.0f - out); });
+  return unary_op(x, &simd::vsigmoid,
+                  [](float, float out) { return out * (1.0f - out); });
 }
 
 Value gelu(const Value& x) {
-  return unary_op(
-      x,
-      [](float v) {
-        const float c = 0.7978845608028654f;  // sqrt(2/pi)
-        return 0.5f * v *
-               (1.0f + std::tanh(c * (v + 0.044715f * v * v * v)));
-      },
-      [](float in, float) {
-        const float c = 0.7978845608028654f;
-        const float u = c * (in + 0.044715f * in * in * in);
-        const float t = std::tanh(u);
-        const float du = c * (1.0f + 3.0f * 0.044715f * in * in);
-        return 0.5f * (1.0f + t) + 0.5f * in * (1.0f - t * t) * du;
-      });
+  return unary_op(x, &simd::vgelu, [](float in, float) {
+    const float c = 0.7978845608028654f;  // sqrt(2/pi)
+    const float u = c * (in + 0.044715f * in * in * in);
+    const float t = std::tanh(u);
+    const float du = c * (1.0f + 3.0f * 0.044715f * in * in);
+    return 0.5f * (1.0f + t) + 0.5f * in * (1.0f - t * t) * du;
+  });
 }
 
 Value softplus(const Value& x) {
-  return unary_op(
-      x,
-      [](float v) {
-        // Overflow-safe: softplus(v) = max(v, 0) + log1p(exp(-|v|)).
-        return std::max(v, 0.0f) + std::log1p(std::exp(-std::abs(v)));
-      },
-      [](float in, float) { return sigmoid_scalar(in); });
+  return unary_op(x, &simd::vsoftplus,
+                  [](float in, float) { return simd::sigmoid_ref(in); });
 }
 
 Value exp(const Value& x) {
-  return unary_op(
-      x, [](float v) { return std::exp(v); },
-      [](float, float out) { return out; });
+  return unary_op(x, &simd::vexp, [](float, float out) { return out; });
 }
 
 Value log(const Value& x) {
   for (std::int64_t i = 0; i < x->value().numel(); ++i)
     SDMPEB_CHECK_MSG(x->value()[i] > 0.0f, "log of non-positive value");
   return unary_op(
-      x, [](float v) { return std::log(v); },
+      x,
+      [](float* dst, const float* src, std::int64_t n) {
+        for (std::int64_t i = 0; i < n; ++i) dst[i] = std::log(src[i]);
+      },
       [](float in, float) { return 1.0f / in; });
 }
 
 Value square(const Value& x) {
   return unary_op(
-      x, [](float v) { return v * v; },
+      x,
+      [](float* dst, const float* src, std::int64_t n) {
+        for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i] * src[i];
+      },
       [](float in, float) { return 2.0f * in; });
 }
 

@@ -111,17 +111,18 @@ Value softmax_rows(const Value& x, float tau) {
   const Tensor& in = x->value();
   parallel::parallel_for(0, rows, 16, [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
-      float row_max = in.at(r, 0);
+      const float* in_row = in.raw() + r * cols;
+      float* out_row = out.raw() + r * cols;
+      float row_max = in_row[0];
       for (std::int64_t c = 1; c < cols; ++c)
-        row_max = std::max(row_max, in.at(r, c));
+        row_max = std::max(row_max, in_row[c]);
+      for (std::int64_t c = 0; c < cols; ++c)
+        out_row[c] = (in_row[c] - row_max) / tau;
+      simd::vexp(out_row, out_row, cols);
       double denom = 0.0;
-      for (std::int64_t c = 0; c < cols; ++c) {
-        const float e = std::exp((in.at(r, c) - row_max) / tau);
-        out.at(r, c) = e;
-        denom += e;
-      }
+      for (std::int64_t c = 0; c < cols; ++c) denom += out_row[c];
       const auto inv = static_cast<float>(1.0 / denom);
-      for (std::int64_t c = 0; c < cols; ++c) out.at(r, c) *= inv;
+      for (std::int64_t c = 0; c < cols; ++c) out_row[c] *= inv;
     }
   });
   Value xc = x;

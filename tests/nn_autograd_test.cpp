@@ -273,6 +273,14 @@ TEST(GradCheck, UpsampleNearest) {
       {random_tensor(Shape{2, 2, 2, 2}, 43)});
 }
 
+TEST(GradCheck, BroadcastAdd) {
+  expect_gradients_match(
+      [](const std::vector<Value>& v) {
+        return nnops::sum(nnops::square(nnops::broadcast_add(v[0], v[1])));
+      },
+      {random_tensor(Shape{5, 1}, 60), random_tensor(Shape{1, 3}, 61)});
+}
+
 TEST(GradCheck, SelectiveScan) {
   const std::int64_t seq = 4, channels = 2, states = 3;
   expect_gradients_match(

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -24,7 +25,11 @@
 #include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/obs.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "core/sdm_peb_model.hpp"
+#include "core/trainer.hpp"
 #include "nn/serialize.hpp"
 #include "serve/frozen_model.hpp"
 #include "serve/protocol.hpp"
@@ -143,13 +148,66 @@ TEST_F(ServeTest, FrozenForwardBuildsNoTape) {
   EXPECT_FALSE(tracked_out->parents().empty());
 }
 
+/// Run `fn` once on every pool thread: one chunk per thread, each held at a
+/// rendezvous until all threads have taken theirs, so no thread can take a
+/// second. Parallel loops nested in `fn` run inline on that thread.
+void on_every_pool_thread(const std::function<void()>& fn) {
+  const int width = parallel::thread_count();
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  parallel::parallel_for(0, width, 1, [&](std::int64_t, std::int64_t) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ++arrived;
+      cv.notify_all();
+      cv.wait(lock, [&] { return arrived == width; });
+    }
+    fn();
+  });
+}
+
 TEST_F(ServeTest, FrozenInferenceIsArenaStableAfterWarmup) {
   // The constructor's warm-up forward sizes the workspace-arena chain;
-  // steady-state inference must allocate no new backing blocks.
-  (void)frozen_->infer(good_acid());  // settle this process's arenas
+  // steady-state inference must allocate no new backing blocks. A pool
+  // worker's arena is sized by whatever chunks it happened to take, so
+  // settle every thread of a pinned-width pool with a whole forward of its
+  // own (every op's per-chunk scratch, run inline) before the snapshot.
+  const int saved_width = parallel::thread_count();
+  parallel::set_thread_count(3);
+  on_every_pool_thread([] { (void)frozen_->infer(good_acid()); });
+  (void)frozen_->infer(good_acid());
   const std::uint64_t blocks = WorkspaceArena::total_heap_blocks();
   for (int i = 0; i < 5; ++i) (void)frozen_->infer(good_acid());
   EXPECT_EQ(WorkspaceArena::total_heap_blocks(), blocks);
+  parallel::set_thread_count(saved_width);
+}
+
+TEST_F(ServeTest, FrozenInferenceSavesNoScanTrajectory) {
+  obs::set_trace_enabled(true);
+  const obs::Counter& bytes = obs::counter("scan.trajectory_bytes");
+  const std::uint64_t start = bytes.value();
+  (void)frozen_->infer(good_acid());
+  EXPECT_EQ(bytes.value(), start);
+
+  // The same architecture with trainable parameters saves the (L, C, N)
+  // trajectory of every scan: three directions per stage, L = D·H·W of the
+  // stage, C = 2x the stage channels, N states, 4 bytes per float.
+  Rng rng(3);
+  const auto tracked =
+      serve::make_peb_net("sdm", serve::ModelScale::kTiny, rng);
+  (void)core::predict(*tracked, good_acid());
+  const auto config = core::SdmPebConfig::tiny();
+  std::uint64_t expected = 0;
+  for (std::size_t i = 0; i < config.stage_count(); ++i) {
+    const auto lateral = 8 / config.cumulative_stride(i);
+    const auto len = 2 * lateral * lateral;
+    expected += 3 * static_cast<std::uint64_t>(
+                        len * 2 * config.stage_channels[i] *
+                        config.sdm_state_dim * 4);
+  }
+  EXPECT_EQ(bytes.value() - start, expected);
+  obs::set_trace_enabled(false);
 }
 
 // ---------------------------------------------------------------------------

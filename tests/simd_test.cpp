@@ -95,6 +95,7 @@ TEST_F(SimdTest, DetectionNamesAndOverride) {
     EXPECT_EQ(simd::active(), simd::Isa::kAvx2);
     EXPECT_NE(simd::gemm_tile_16(), nullptr);
     EXPECT_NE(simd::tridiag_lines4(), nullptr);
+    EXPECT_NE(simd::scan_block8(), nullptr);
   } else {
     EXPECT_EQ(simd::active(), simd::Isa::kScalar);
   }
@@ -104,6 +105,7 @@ TEST_F(SimdTest, DetectionNamesAndOverride) {
   // how callers fall back to their scalar paths.
   EXPECT_EQ(simd::gemm_tile_16(), nullptr);
   EXPECT_EQ(simd::tridiag_lines4(), nullptr);
+  EXPECT_EQ(simd::scan_block8(), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -192,6 +194,236 @@ TEST_F(SimdTest, ElementwiseBitwiseEqualAcrossBackends) {
       simd::vleaky_relu_bwd(d.data(), b.data(), b.data(), 0.01f, n);
     });
   }
+}
+
+// ---------------------------------------------------------------------------
+// Transcendental maps: the AVX2 exp stays within kExpMaxUlp ulp of the
+// correctly rounded result over its whole normal-result range and keeps the
+// IEEE special cases; every map built on it agrees with the scalar std::
+// formulas within kTranscendentalTol (relative above 1, absolute below).
+// ---------------------------------------------------------------------------
+
+constexpr float kTranscendentalTol = 1e-6f;
+
+/// Distance in representable floats between two finite non-negative floats.
+std::int64_t ulp_distance(float a, float b) {
+  std::int32_t ia = 0;
+  std::int32_t ib = 0;
+  std::memcpy(&ia, &a, sizeof(ia));
+  std::memcpy(&ib, &b, sizeof(ib));
+  return std::abs(static_cast<std::int64_t>(ia) - ib);
+}
+
+TEST_F(SimdTest, VexpUlpBound) {
+  // Every result in [FLT_MIN, FLT_MAX]: x from ln(FLT_MIN) to ln(FLT_MAX).
+  const float lo = -87.33654f;
+  const float hi = 88.72283f;
+  const std::int64_t n = std::int64_t{1} << 20;
+  std::vector<float> xs(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i)
+    xs[static_cast<std::size_t>(i)] =
+        lo + (hi - lo) * static_cast<float>(i) / static_cast<float>(n - 1);
+  // Plus every 97th float with |x| in [2^-30, 1), both signs: the linear
+  // sweep is sparse there, and e^x rounds near 1.
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+  const float first_x = std::ldexp(1.0f, -30);
+  const float last_x = 1.0f;
+  std::memcpy(&first, &first_x, sizeof(first));
+  std::memcpy(&last, &last_x, sizeof(last));
+  for (std::uint32_t bits = first; bits < last; bits += 97) {
+    float x = 0.0f;
+    std::memcpy(&x, &bits, sizeof(x));
+    xs.push_back(x);
+    xs.push_back(-x);
+  }
+  for_each_backend([&](simd::Isa isa) {
+    std::vector<float> got(xs.size());
+    simd::vexp(got.data(), xs.data(), static_cast<std::int64_t>(xs.size()));
+    std::int64_t worst = 0;
+    float worst_x = 0.0f;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const auto want =
+          static_cast<float>(std::exp(static_cast<double>(xs[i])));
+      if (want < std::numeric_limits<float>::min() || std::isinf(want))
+        continue;
+      const auto d = ulp_distance(got[i], want);
+      if (d > worst) {
+        worst = d;
+        worst_x = xs[i];
+      }
+    }
+    EXPECT_LE(worst, simd::kExpMaxUlp)
+        << simd::isa_name(isa) << " worst at x=" << worst_x;
+  });
+}
+
+TEST_F(SimdTest, VexpSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Eleven lanes: one full vector plus a masked tail, specials in both.
+  const std::vector<float> x = {nan,    inf,  -inf,    89.0f, 100.0f, -88.0f,
+                                -95.0f, 0.0f, -104.0f, -1e30f, nan};
+  for_each_backend([&](simd::Isa isa) {
+    std::vector<float> y(x.size());
+    simd::vexp(y.data(), x.data(), static_cast<std::int64_t>(x.size()));
+    const char* name = simd::isa_name(isa);
+    EXPECT_TRUE(std::isnan(y[0])) << name;
+    EXPECT_TRUE(std::isnan(y[10])) << name << " (tail lane)";
+    EXPECT_EQ(y[1], inf) << name;
+    EXPECT_EQ(y[2], 0.0f) << name;
+    EXPECT_EQ(y[3], inf) << name;
+    EXPECT_EQ(y[4], inf) << name;
+    EXPECT_EQ(y[7], 1.0f) << name;
+    // Underflow: subnormal or +0, never negative, never NaN.
+    for (std::size_t i : {5u, 6u, 8u, 9u}) {
+      EXPECT_GE(y[i], 0.0f) << name << " x=" << x[i];
+      EXPECT_LT(y[i], std::numeric_limits<float>::min() * 1.01f)
+          << name << " x=" << x[i];
+    }
+  });
+}
+
+std::vector<float> transcendental_input(std::int64_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(static_cast<std::size_t>(n));
+  for (auto& x : v) x = static_cast<float>(rng.uniform(-20.0, 20.0));
+  if (n > 8) {
+    v[1] = 0.0f;
+    v[2] = -0.0f;
+    v[3] = 1e-7f;
+    v[4] = -1e-7f;
+    v[5] = 60.0f;
+    v[6] = -60.0f;
+    v[7] = 90.0f;
+    v[8] = -90.0f;
+  }
+  return v;
+}
+
+TEST_F(SimdTest, TranscendentalsAvx2MatchScalarWithinTolerance) {
+  if (!simd::cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  using MapFn = void (*)(float*, const float*, std::int64_t);
+  const struct {
+    const char* name;
+    MapFn fn;
+  } maps[] = {{"vexp", &simd::vexp},
+              {"vsigmoid", &simd::vsigmoid},
+              {"vsilu", &simd::vsilu},
+              {"vsoftplus", &simd::vsoftplus},
+              {"vgelu", &simd::vgelu}};
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (std::int64_t n : {1, 7, 8, 9, 17, 1000, 4099}) {
+    auto x = transcendental_input(n, 71);
+    x[static_cast<std::size_t>(n - 1)] = nan;
+    for (const auto& m : maps) {
+      std::vector<float> s(x.size());
+      std::vector<float> v(x.size());
+      simd::set_active(simd::Isa::kScalar);
+      m.fn(s.data(), x.data(), n);
+      simd::set_active(simd::Isa::kAvx2);
+      m.fn(v.data(), x.data(), n);
+      EXPECT_TRUE(std::isnan(v.back())) << m.name << " n=" << n;
+      for (std::int64_t i = 0; i + 1 < n; ++i) {
+        const float a = s[static_cast<std::size_t>(i)];
+        const float b = v[static_cast<std::size_t>(i)];
+        if (std::isinf(a)) {
+          EXPECT_EQ(a, b) << m.name << " x=" << x[static_cast<std::size_t>(i)];
+          continue;
+        }
+        ASSERT_NEAR(a, b, kTranscendentalTol * std::max(1.0f, std::abs(a)))
+            << m.name << " x=" << x[static_cast<std::size_t>(i)];
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, SoftmaxRowsBackendsAgreeWithinTolerance) {
+  if (!simd::cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  // 37 columns: four full vectors and a masked tail per row.
+  Rng rng(72);
+  const Tensor logits = Tensor::uniform(Shape{19, 37}, rng, -8.0f, 8.0f);
+  for (float tau : {1.0f, 0.3f}) {
+    simd::set_active(simd::Isa::kScalar);
+    const Tensor s = nnops::softmax_rows(nn::constant(logits), tau)->value();
+    simd::set_active(simd::Isa::kAvx2);
+    const Tensor v = nnops::softmax_rows(nn::constant(logits), tau)->value();
+    expect_close(s, v, kTranscendentalTol, "softmax_rows");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Selective scan. The frozen forward (no input tracks gradients) carries
+// only the per-channel state: under the scalar backend it must reproduce the
+// taped forward bit for bit; under AVX2 it runs the 8-channel kernel, which
+// matches the scalar recurrence within kScanTol. Either way the scan is
+// bitwise identical at any thread count. The (C, N) cases cover the
+// register-resident N = 8 kernel, a runtime N, and C % 8 != 0 tails.
+// ---------------------------------------------------------------------------
+
+constexpr float kScanTol = 1e-5f;
+
+struct ScanCase {
+  std::int64_t seq, channels, states;
+};
+
+const ScanCase kScanCases[] = {{50, 32, 8}, {37, 13, 5}, {29, 40, 17}};
+
+Tensor run_scan(const ScanCase& sc, bool taped) {
+  Rng rng(81 + static_cast<std::uint64_t>(sc.channels));
+  const auto leaf = [&](Shape shape, float lo, float hi) {
+    return nn::make_value(Tensor::uniform(std::move(shape), rng, lo, hi),
+                          taped);
+  };
+  const auto x = leaf(Shape{sc.seq, sc.channels}, -1.0f, 1.0f);
+  const auto delta = leaf(Shape{sc.seq, sc.channels}, 0.01f, 1.5f);
+  const auto a_log = leaf(Shape{sc.channels, sc.states}, -1.0f, 1.5f);
+  const auto b = leaf(Shape{sc.seq, sc.states}, -1.0f, 1.0f);
+  const auto c = leaf(Shape{sc.seq, sc.states}, -1.0f, 1.0f);
+  const auto skip = leaf(Shape{sc.channels}, 0.5f, 1.5f);
+  return nnops::selective_scan(x, delta, a_log, b, c, skip)->value();
+}
+
+TEST_F(SimdTest, ScanFrozenScalarBitwiseEqualsTaped) {
+  simd::set_active(simd::Isa::kScalar);
+  for (const auto& sc : kScanCases)
+    expect_bitwise(run_scan(sc, /*taped=*/true), run_scan(sc, /*taped=*/false),
+                   ("C=" + std::to_string(sc.channels) +
+                    " N=" + std::to_string(sc.states))
+                       .c_str());
+}
+
+TEST_F(SimdTest, ScanAvx2MatchesScalarWithinTolerance) {
+  if (!simd::cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  for (const auto& sc : kScanCases) {
+    simd::set_active(simd::Isa::kScalar);
+    const Tensor s = run_scan(sc, false);
+    simd::set_active(simd::Isa::kAvx2);
+    const Tensor v = run_scan(sc, false);
+    expect_close(s, v, kScanTol,
+                 ("C=" + std::to_string(sc.channels) +
+                  " N=" + std::to_string(sc.states))
+                     .c_str());
+  }
+}
+
+TEST_F(SimdTest, ScanBitwiseDeterministicAcrossThreadCounts) {
+  for_each_backend([&](simd::Isa isa) {
+    for (const auto& sc : kScanCases)
+      for (bool taped : {false, true}) {
+        parallel::set_thread_count(1);
+        const Tensor y1 = run_scan(sc, taped);
+        for (int threads : {2, 4}) {
+          parallel::set_thread_count(threads);
+          expect_bitwise(y1, run_scan(sc, taped),
+                         (std::string(simd::isa_name(isa)) +
+                          " C=" + std::to_string(sc.channels) +
+                          " taped=" + std::to_string(taped) +
+                          " threads=" + std::to_string(threads))
+                             .c_str());
+        }
+      }
+  });
 }
 
 // ---------------------------------------------------------------------------
