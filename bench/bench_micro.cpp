@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -573,18 +572,14 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   run_thread_scaling_sweep();
   run_gemm_roofline();
-  // SDMPEB_TRACE=1: dump the Chrome trace + metrics from the whole run so
-  // CI can archive them next to the scaling CSVs.
+  // SDMPEB_TRACE=1: dump the Chrome trace + a metrics snapshot of the whole
+  // run so CI can archive them next to the scaling CSVs.
   if (obs::trace_enabled()) {
-    obs::refresh_derived_metrics();
     sdmpeb::bench::ensure_output_dir();
     if (obs::write_chrome_trace_file("bench_out/trace.json"))
       std::printf("[bench] wrote bench_out/trace.json\n");
-    if (obs::write_metrics_csv_file("bench_out/metrics.csv"))
-      std::printf("[bench] wrote bench_out/metrics.csv\n");
-    std::ostringstream json;
-    obs::write_metrics_json(json);
-    std::printf("%s\n", json.str().c_str());
+    if (obs::write_metrics_snapshot("bench_out"))
+      std::printf("[bench] wrote bench_out/metrics.{prom,jsonl}\n");
   }
   return 0;
 }

@@ -8,10 +8,11 @@ and response payloads are
   b"SRVR" + id u64 + status u32 + (volume | error string).
 
 With --selftest the script trains a tiny checkpoint, then drives a serve
-process through the three contracts worth pinning from outside the binary:
+process through the contracts worth pinning from outside the binary:
 well-formed frames complete, a malformed frame is rejected without killing
-the stream, and SIGTERM drains every accepted request before a clean exit.
-Prints SERVE_PROTOCOL_OK on success (consumed by ctest / CI).
+the stream, stdout carries nothing but response frames even with tracing on
+(SDMPEB_TRACE=1), and SIGTERM drains every accepted request before a clean
+exit. Prints SERVE_PROTOCOL_OK on success (consumed by ctest / CI).
 """
 
 import argparse
@@ -44,23 +45,32 @@ def encode_request(req_id, dims, values, priority=0, deadline_ms=0):
 
 
 def read_exact(stream, n):
+    """n bytes, or None on EOF (with whatever was read before it)."""
     buf = b""
     while len(buf) < n:
         chunk = stream.read(n - len(buf))
         if not chunk:
-            return None  # EOF
+            return None, buf
         buf += chunk
-    return buf
+    return buf, buf
 
 
 def read_response(stream):
-    header = read_exact(stream, 4)
+    """The next response frame, or None on a clean EOF between frames. Any
+    bytes that do not form a whole frame (e.g. text after the last frame)
+    are a protocol violation."""
+    header, partial = read_exact(stream, 4)
     if header is None:
+        if partial:
+            raise RuntimeError("stream truncated mid-header: %r" % partial)
         return None
     (length,) = struct.unpack("<I", header)
-    payload = read_exact(stream, length)
+    payload, partial = read_exact(stream, length)
     if payload is None:
-        raise RuntimeError("stream truncated mid-frame")
+        raise RuntimeError(
+            "stream truncated mid-frame: header %r announces %d bytes, "
+            "got %d" % (header, length, len(partial))
+        )
     if payload[:4] != b"SRVR":
         raise RuntimeError("bad response magic %r" % payload[:4])
     resp_id, status = struct.unpack("<QI", payload[4:16])
@@ -78,7 +88,7 @@ def require(cond, message):
         sys.exit(1)
 
 
-def spawn_serve(cli, ckpt, shape):
+def spawn_serve(cli, ckpt, shape, env=None, cwd=None):
     return subprocess.Popen(
         [
             cli, "serve", "--model", "sdm", "--scale", "tiny",
@@ -87,28 +97,29 @@ def spawn_serve(cli, ckpt, shape):
         ],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
+        env=env,
+        cwd=cwd,
     )
 
 
-def selftest(cli, work_dir):
-    shutil.rmtree(work_dir, ignore_errors=True)
-    os.makedirs(work_dir)
-    ckpt = os.path.join(work_dir, "tiny.ckpt")
-    print("training a tiny checkpoint ...")
-    subprocess.run(
-        [
-            cli, "train", "--scale", "tiny", "--clips", "3",
-            "--bake-seconds", "3", "--epochs", "1", "--out", ckpt,
-        ],
-        check=True,
-    )
+def read_all_responses(proc):
+    responses = []
+    while True:
+        try:
+            resp = read_response(proc.stdout)
+        except RuntimeError as err:
+            proc.kill()
+            proc.wait()
+            require(False, "stdout is not a clean frame stream: %s" % err)
+        if resp is None:
+            return responses
+        responses.append(resp)
 
-    dims = (2, 8, 8)
-    volume = [0.25] * (dims[0] * dims[1] * dims[2])
 
-    # --- Contract 1 + 2: requests complete; a malformed frame is rejected
-    # without killing the stream.
-    proc = spawn_serve(cli, ckpt, dims)
+def frames_phase(cli, ckpt, dims, volume, env=None, cwd=None):
+    """Five requests with a malformed frame among them, then EOF: six
+    responses (the malformed one flagged invalid), then a clean EOF."""
+    proc = spawn_serve(cli, ckpt, dims, env=env, cwd=cwd)
     for i in range(3):
         proc.stdin.write(encode_request(100 + i, dims, volume))
     bad = b"JUNK" + b"\x00" * 20  # right framing, wrong magic
@@ -118,12 +129,7 @@ def selftest(cli, work_dir):
     proc.stdin.flush()
     proc.stdin.close()  # EOF -> drain
 
-    responses = []
-    while True:
-        resp = read_response(proc.stdout)
-        if resp is None:
-            break
-        responses.append(resp)
+    responses = read_all_responses(proc)
     require(proc.wait() == 0, "serve exited non-zero after EOF drain")
     require(len(responses) == 6, "want 6 responses, got %d" % len(responses))
     by_id = {}
@@ -143,9 +149,50 @@ def selftest(cli, work_dir):
     malformed = by_id[0][0]
     require(malformed["status"] == 3, "malformed frame not flagged invalid")
     require("magic" in malformed["error"], "rejection reason missing")
+
+
+def selftest(cli, work_dir):
+    # Absolute paths: the traced phase runs the server in another directory.
+    if os.sep in cli:
+        cli = os.path.abspath(cli)
+    work_dir = os.path.abspath(work_dir)
+    shutil.rmtree(work_dir, ignore_errors=True)
+    os.makedirs(work_dir)
+    ckpt = os.path.join(work_dir, "tiny.ckpt")
+    print("training a tiny checkpoint ...")
+    subprocess.run(
+        [
+            cli, "train", "--scale", "tiny", "--clips", "3",
+            "--bake-seconds", "3", "--epochs", "1", "--out", ckpt,
+        ],
+        check=True,
+    )
+
+    dims = (2, 8, 8)
+    volume = [0.25] * (dims[0] * dims[1] * dims[2])
+
+    # --- Contract 1 + 2: requests complete; a malformed frame is rejected
+    # without killing the stream.
+    frames_phase(cli, ckpt, dims, volume)
     print("frames + malformed rejection: ok")
 
-    # --- Contract 3: SIGTERM drains every accepted request, exits 0.
+    # --- Contract 3: with tracing on, the exit-time trace and metrics go to
+    # files (under the server's working directory), never into the frame
+    # stream on stdout.
+    traced_dir = os.path.join(work_dir, "traced")
+    os.makedirs(traced_dir)
+    frames_phase(
+        cli, ckpt, dims, volume,
+        env=dict(os.environ, SDMPEB_TRACE="1"), cwd=traced_dir,
+    )
+    for name in ("trace.json", "metrics.prom", "metrics.jsonl"):
+        require(
+            os.path.isfile(os.path.join(traced_dir, "bench_out", name)),
+            "traced serve did not write bench_out/%s" % name,
+        )
+    print("traced serve, stdout frames only: ok")
+
+    # --- Contract 4: SIGTERM drains every accepted request, exits 0.
     proc = spawn_serve(cli, ckpt, dims)
     for i in range(4):
         proc.stdin.write(encode_request(200 + i, dims, volume))
@@ -154,12 +201,7 @@ def selftest(cli, work_dir):
     # admitted (signalling an idle server would not test the drain path).
     time.sleep(1.0)
     proc.send_signal(signal.SIGTERM)
-    responses = []
-    while True:
-        resp = read_response(proc.stdout)
-        if resp is None:
-            break
-        responses.append(resp)
+    responses = read_all_responses(proc)
     require(proc.wait() == 0, "serve exited non-zero after SIGTERM drain")
     ids = sorted(r["id"] for r in responses)
     require(len(ids) == len(set(ids)), "duplicated responses across drain")

@@ -50,7 +50,8 @@ std::string json_escape(const std::string& s) {
 
 /// Render a double without locale surprises and with enough precision for
 /// microsecond timestamps. Non-finite values render as 0 — every emitter
-/// here feeds JSON or CSV consumed by parsers that reject NaN/Inf.
+/// here feeds JSON or Prometheus text consumed by parsers that reject
+/// NaN/Inf.
 std::string fmt_double(double v) {
   if (!std::isfinite(v)) v = 0.0;
   char buf[64];
@@ -64,13 +65,6 @@ std::string fmt_ratio(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4f", v);
   return buf;
-}
-
-/// `# key=value` attribution lines shared by the CSV dumpers.
-void write_build_comment_header(std::ostream& os) {
-  os << "# git_sha=" << build::git_sha() << "\n"
-     << "# build_type=" << build::build_type() << "\n"
-     << "# build_flags=" << build::build_flags() << "\n";
 }
 
 /// Find the slot index of a counter by name, -1 if the active tier lacks it.
@@ -181,6 +175,9 @@ bool write_chrome_trace_file(const std::string& path) {
   return true;
 }
 
+namespace {
+
+/// Refresh derived / pull-model metrics before a snapshot.
 void refresh_derived_metrics() {
   gauge("arena.live_bytes")
       .set(static_cast<double>(WorkspaceArena::total_heap_bytes()));
@@ -230,46 +227,9 @@ void refresh_derived_metrics() {
   gauge("perfmon.mode").set(static_cast<double>(perfmon::mode()));
 }
 
-void write_metrics_csv(std::ostream& os) {
-  refresh_derived_metrics();
-  const auto snap = snapshot_metrics();
-  write_build_comment_header(os);
-  os << "name,kind,value,count,sum\n";
-  for (const auto& [name, value] : snap.counters)
-    os << name << ",counter," << value << ",,\n";
-  for (const auto& [name, value] : snap.gauges)
-    os << name << ",gauge," << fmt_double(value) << ",,\n";
-  for (const auto& h : snap.histograms) {
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      os << h.name << ",histogram_le_";
-      if (i < h.bounds.size())
-        os << fmt_double(h.bounds[i]);
-      else
-        os << "inf";
-      os << "," << h.counts[i] << ",,\n";
-    }
-    os << h.name << ",histogram," << fmt_double(
-              h.total > 0 ? h.sum / static_cast<double>(h.total) : 0.0)
-       << "," << h.total << "," << fmt_double(h.sum) << "\n";
-  }
-}
-
-bool write_metrics_csv_file(const std::string& path) {
-  std::ostringstream buffer;
-  write_metrics_csv(buffer);
-  try {
-    atomic_write_file(path, buffer.str());
-  } catch (const Error&) {
-    return false;
-  }
-  return true;
-}
-
-namespace {
-
-/// Body shared by write_metrics_json and the JSONL appender: the registry
-/// as one JSON object, derived metrics already refreshed by the caller.
-void write_metrics_json_body(std::ostream& os, const MetricsSnapshot& snap) {
+/// The registry as one JSON object keyed by metric name: the "metrics"
+/// member of every JSON-lines row.
+void write_metrics_object(std::ostream& os, const MetricsSnapshot& snap) {
   os << "{";
   bool first = true;
   const auto sep = [&] {
@@ -314,16 +274,12 @@ std::string prom_name(const std::string& name) {
   return out;
 }
 
-}  // namespace
-
-void write_metrics_json(std::ostream& os) {
-  refresh_derived_metrics();
-  write_metrics_json_body(os, snapshot_metrics());
-}
-
-void write_metrics_prometheus(std::ostream& os) {
-  refresh_derived_metrics();
-  const auto snap = snapshot_metrics();
+/// The registry in Prometheus text exposition format, after the
+/// build-provenance comment lines (plain `#` comments, which scrapers skip).
+void write_metrics_prometheus(std::ostream& os, const MetricsSnapshot& snap) {
+  os << "# git_sha=" << build::git_sha() << "\n"
+     << "# build_type=" << build::build_type() << "\n"
+     << "# build_flags=" << build::build_flags() << "\n";
   for (const auto& [name, value] : snap.counters) {
     const auto p = prom_name(name);
     os << "# TYPE " << p << " counter\n" << p << " " << value << "\n";
@@ -352,27 +308,33 @@ void write_metrics_prometheus(std::ostream& os) {
   }
 }
 
-bool write_metrics_prometheus_file(const std::string& path) {
-  std::ostringstream buffer;
-  write_metrics_prometheus(buffer);
+std::atomic<std::uint64_t> g_snapshot_seq{0};
+
+}  // namespace
+
+bool write_metrics_snapshot(const std::string& dir) {
+  refresh_derived_metrics();
+  const auto snap = snapshot_metrics();
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+
+  std::ostringstream prom;
+  write_metrics_prometheus(prom, snap);
   try {
-    atomic_write_file(path, buffer.str());
+    atomic_write_file(dir + "/metrics.prom", prom.str());
   } catch (const Error&) {
     return false;
   }
-  return true;
-}
 
-bool append_metrics_jsonl(const std::string& path, std::uint64_t seq) {
-  refresh_derived_metrics();
   std::ostringstream row;
   row << "{\"t_s\":" << fmt_double(static_cast<double>(now_ns()) * 1e-9)
-      << ",\"seq\":" << seq << ",\"metrics\":";
-  write_metrics_json_body(row, snapshot_metrics());
+      << ",\"seq\":" << g_snapshot_seq.fetch_add(1, std::memory_order_relaxed)
+      << ",\"metrics\":";
+  write_metrics_object(row, snap);
   row << "}\n";
   // One append + flush per row: a crash mid-run loses at most the row being
   // written, and every complete line stays parseable.
-  std::ofstream out(path, std::ios::app | std::ios::binary);
+  std::ofstream out(dir + "/metrics.jsonl", std::ios::app | std::ios::binary);
   if (!out.good()) return false;
   out << row.str();
   out.flush();
@@ -395,11 +357,7 @@ struct Flusher {
   PeriodicFlushOptions options;
 
   void flush_once() {
-    if (options.prometheus)
-      write_metrics_prometheus_file(options.dir + "/metrics.prom");
-    if (options.jsonl)
-      append_metrics_jsonl(options.dir + "/metrics.jsonl",
-                           flushes.load(std::memory_order_relaxed));
+    write_metrics_snapshot(options.dir);
     flushes.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -429,8 +387,6 @@ bool start_periodic_flush(const PeriodicFlushOptions& options) {
   Flusher& f = flusher();
   std::lock_guard<std::mutex> lock(f.mutex);
   if (f.running) return false;
-  std::error_code ec;
-  std::filesystem::create_directories(options.dir, ec);
   f.options = options;
   f.stop_requested = false;
   f.flushes.store(0, std::memory_order_relaxed);

@@ -1,10 +1,10 @@
 #pragma once
 
 // Exporters for the observability layer (common/obs.hpp): Chrome/Perfetto
-// `trace_event` JSON for spans, and CSV / JSON / Prometheus-text dumps of
-// the metrics registry, plus a background periodic flusher for long-running
-// jobs. Opening a trace: chrome://tracing or https://ui.perfetto.dev,
-// "Open trace file", pick the emitted .json.
+// `trace_event` JSON for spans, and one metrics snapshot (Prometheus text
+// plus a JSON-lines series) written at exit or by a background periodic
+// flusher for long-running jobs. Opening a trace: chrome://tracing or
+// https://ui.perfetto.dev, "Open trace file", pick the emitted .json.
 //
 // When spans carry perf_event counter deltas (SDMPEB_PERF, see
 // common/perfmon.hpp), the Chrome export annotates each complete event's
@@ -30,56 +30,41 @@ void write_chrome_trace(std::ostream& os);
 /// opened (never throws — exporters run on teardown paths).
 bool write_chrome_trace_file(const std::string& path);
 
-/// Refresh derived / pull-model metrics before a dump: arena live bytes,
-/// high-water mark and heap-block count, achieved GEMM GFLOP/s (gemm.flops
-/// over gemm.time_ns), trace-span drop count, and — when counter-annotated
-/// spans exist — per-span-name aggregates (perf.<name>.cycles/instructions
-/// totals and perf.<name>.ipc). Called by every dumper; callers only need
-/// it directly when reading the registry via snapshot_metrics().
-void refresh_derived_metrics();
-
-/// Metrics registry as CSV: name,kind,value,count,sum — histograms emit one
-/// row per bucket (kind "histogram_le_<edge>") plus a summary row. The
-/// table is preceded by `# key=value` comment lines recording git_sha,
-/// build_type and build_flags so archived dumps stay attributable.
-void write_metrics_csv(std::ostream& os);
-bool write_metrics_csv_file(const std::string& path);
-
-/// Metrics registry as a single JSON object keyed by metric name.
-void write_metrics_json(std::ostream& os);
-
-/// Metrics registry in Prometheus text exposition format (metric names
-/// sanitised to [a-zA-Z0-9_:], histograms as _bucket/_sum/_count with
-/// cumulative le labels).
-void write_metrics_prometheus(std::ostream& os);
-bool write_metrics_prometheus_file(const std::string& path);
-
-/// Append one JSON-lines snapshot row to `path`:
-///   {"t_s":<since process start>,"seq":N,"metrics":{...}}
-/// The growing file is a time series — successive rows give counter rates
-/// and the arena occupancy / high-water timeline of a long run. Returns
-/// false on I/O failure (never throws).
-bool append_metrics_jsonl(const std::string& path, std::uint64_t seq);
+/// The one way the metrics registry leaves the process: refresh the derived
+/// / pull-model metrics (arena live bytes, high-water mark and heap-block
+/// count, achieved GEMM GFLOP/s, trace-span drop count, and — when
+/// counter-annotated spans exist — per-span-name perf.<name>.cycles /
+/// .instructions / .ipc aggregates), then
+///   - rewrite <dir>/metrics.prom atomically in Prometheus text exposition
+///     format (names sanitised under a sdmpeb_ prefix, histograms as
+///     cumulative _bucket{le}/_sum/_count), headed by `# git_sha=`,
+///     `# build_type=` and `# build_flags=` comment lines so archived dumps
+///     stay attributable;
+///   - append one row {"t_s":<since process start>,"seq":N,"metrics":{...}}
+///     to <dir>/metrics.jsonl, where N counts this process's snapshots. The
+///     growing file is a time series: successive rows give counter rates
+///     and the arena occupancy / high-water timeline of a long run.
+/// Creates dir if needed. Returns false on I/O failure (never throws —
+/// exporters run on teardown paths).
+bool write_metrics_snapshot(const std::string& dir);
 
 // ---------------------------------------------------------------------------
-// Periodic flush: a background thread snapshots the registry every
-// interval_s and writes <dir>/metrics.prom (atomic rewrite, scrapeable) and
-// appends to <dir>/metrics.jsonl (time series). The thread only READS
-// metrics — it cannot perturb numerics (pinned by the obs byte-identity
-// guard test with flushing enabled).
+// Periodic flush: a background thread calls write_metrics_snapshot(dir)
+// every interval_s. The thread only READS metrics — it cannot perturb
+// numerics (pinned by the obs byte-identity guard test with flushing
+// enabled).
 // ---------------------------------------------------------------------------
 
 struct PeriodicFlushOptions {
   std::string dir = "bench_out";
   double interval_s = 5.0;
-  bool prometheus = true;
-  bool jsonl = true;
 };
 
-/// Start the flusher (creates dir if needed). False if already running.
+/// Start the flusher. False if already running.
 bool start_periodic_flush(const PeriodicFlushOptions& options);
 
-/// Stop and join the flusher after one final flush. Safe when not running.
+/// Stop and join the flusher, then take one final snapshot so the files
+/// capture the end-of-run state. Safe (and a no-op) when not running.
 void stop_periodic_flush();
 
 bool periodic_flush_running();

@@ -54,9 +54,7 @@ struct PebParams {
   /// divergence_threshold is numerically meaningless). A failed interval is
   /// retried from the pre-step state with halved dt, doubling the substep
   /// count up to 2^divergence_max_halvings, before giving up with a
-  /// descriptive Error. Disable to shave the per-step scan + snapshot off
-  /// hot benchmarking loops.
-  bool divergence_guard = true;
+  /// descriptive Error. The guard runs on every step.
   double divergence_threshold = 1e6;
   std::int64_t divergence_max_halvings = 4;
 

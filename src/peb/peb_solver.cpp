@@ -301,12 +301,6 @@ void PebSolver::step(PebState& state) const {
     steps.add(1);
   }
   const double dt = params_.dt_s;
-  if (!params_.divergence_guard) {
-    advance(state, dt);
-    state.time_s += dt;
-    return;
-  }
-
   const PebState snapshot = state;
   advance(state, dt);
   if (state_ok(state)) {

@@ -39,11 +39,11 @@ class PebSolver {
   /// inhibitor and base per Table I initial conditions.
   PebState initial_state(const Grid3& acid0) const;
 
-  /// Advance by one params().dt_s. With params().divergence_guard on (the
-  /// default) the result is scanned for non-finite or runaway fields; a
-  /// failed interval is retried from the pre-step state with halved dt
-  /// (doubling substeps up to 2^divergence_max_halvings) before an Error
-  /// describing the divergence is thrown. Recoveries are counted in the
+  /// Advance by one params().dt_s. The result is always scanned for
+  /// non-finite or runaway fields (the divergence guard); a failed interval
+  /// is retried from the pre-step state with halved dt (doubling substeps
+  /// up to 2^divergence_max_halvings) before an Error describing the
+  /// divergence is thrown. Recoveries are counted in the
   /// metrics registry ("peb.divergence_retries").
   void step(PebState& state) const;
 

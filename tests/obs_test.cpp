@@ -272,43 +272,96 @@ TEST_F(ObsTest, ChromeTraceEmptyIsStillValidJson) {
   EXPECT_NE(os.str().find("\"traceEvents\""), std::string::npos);
 }
 
-TEST_F(ObsTest, MetricsCsvAndJsonContainRegisteredMetrics) {
-  obs::counter("test.csv_counter").add(3);
-  obs::gauge("test.csv_gauge").set(1.5);
-  obs::histogram("test.csv_hist", {1.0, 2.0}).add(1.5);
-
-  std::ostringstream csv;
-  obs::write_metrics_csv(csv);
-  const std::string csv_text = csv.str();
-  // Build-provenance comment lines precede the column header; every line
-  // before it must be a `# key=value` comment.
-  const auto header_pos = csv_text.find("name,kind,value,count,sum");
-  ASSERT_NE(header_pos, std::string::npos);
-  EXPECT_NE(csv_text.find("# git_sha="), std::string::npos);
-  EXPECT_NE(csv_text.find("# build_flags="), std::string::npos);
-  std::istringstream preamble(csv_text.substr(0, header_pos));
-  std::string line;
-  while (std::getline(preamble, line))
-    EXPECT_EQ(line.rfind("# ", 0), 0u) << line;
-  EXPECT_NE(csv_text.find("test.csv_counter,counter,3"), std::string::npos);
-  EXPECT_NE(csv_text.find("test.csv_gauge,gauge,"), std::string::npos);
-  EXPECT_NE(csv_text.find("test.csv_hist,histogram_le_"), std::string::npos);
-
-  std::ostringstream js;
-  obs::write_metrics_json(js);
-  const std::string json = js.str();
-  check_balanced_json(json);
-  EXPECT_NE(json.find("\"test.csv_counter\""), std::string::npos);
-  EXPECT_NE(json.find("\"test.csv_hist\""), std::string::npos);
-  EXPECT_NE(json.find("\"buckets\""), std::string::npos);
-}
-
 std::string read_file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << path;
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+std::filesystem::path fresh_temp_dir(const std::string& stem) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   (stem + "_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// Non-empty lines of a JSON-lines file, each checked to be balanced JSON.
+std::vector<std::string> read_jsonl_rows(const std::string& path) {
+  std::istringstream lines(read_file_bytes(path));
+  std::vector<std::string> rows;
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty()) continue;
+    check_balanced_json(line);
+    rows.push_back(line);
+  }
+  return rows;
+}
+
+TEST_F(ObsTest, MetricsSnapshotContainsRegisteredMetrics) {
+  obs::counter("test.snap_counter").add(3);
+  obs::gauge("test.snap_gauge").set(1.5);
+  obs::Histogram& hist = obs::histogram("test.snap_hist", {1.0, 2.0});
+  for (const double v : {0.5, 1.5, 5.0}) hist.add(v);
+
+  const auto dir = fresh_temp_dir("sdmpeb_snapshot_test");
+  ASSERT_TRUE(obs::write_metrics_snapshot(dir.string()));
+
+  const std::string prom = read_file_bytes((dir / "metrics.prom").string());
+  // Build-provenance comment lines come first: every line before the first
+  // TYPE line must be a `# key=value` comment.
+  const auto first_type = prom.find("# TYPE ");
+  ASSERT_NE(first_type, std::string::npos);
+  EXPECT_EQ(prom.rfind("# git_sha=", 0), 0u);
+  EXPECT_NE(prom.find("# build_type="), std::string::npos);
+  EXPECT_NE(prom.find("# build_flags="), std::string::npos);
+  std::istringstream preamble(prom.substr(0, first_type));
+  std::string line;
+  while (std::getline(preamble, line))
+    EXPECT_EQ(line.rfind("# ", 0), 0u) << line;
+  EXPECT_NE(prom.find("# TYPE sdmpeb_test_snap_counter counter\n"
+                      "sdmpeb_test_snap_counter 3\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE sdmpeb_test_snap_gauge gauge\n"
+                      "sdmpeb_test_snap_gauge 1.5"),
+            std::string::npos);
+
+  // The histogram's buckets are cumulative, ascending and end in +Inf;
+  // _count equals the last bucket.
+  const std::string bucket_prefix = "sdmpeb_test_snap_hist_bucket{le=\"";
+  const std::string count_prefix = "sdmpeb_test_snap_hist_count ";
+  std::vector<std::string> edges;
+  std::vector<std::uint64_t> cumulative;
+  std::uint64_t count = 0;
+  std::istringstream body(prom);
+  while (std::getline(body, line)) {
+    if (line.rfind(bucket_prefix, 0) == 0) {
+      const auto close = line.find("\"} ");
+      ASSERT_NE(close, std::string::npos) << line;
+      edges.push_back(line.substr(bucket_prefix.size(),
+                                  close - bucket_prefix.size()));
+      cumulative.push_back(std::stoull(line.substr(close + 3)));
+    } else if (line.rfind(count_prefix, 0) == 0) {
+      count = std::stoull(line.substr(count_prefix.size()));
+    }
+  }
+  EXPECT_EQ(edges,
+            (std::vector<std::string>{"1.000000", "2.000000", "+Inf"}));
+  EXPECT_EQ(cumulative, (std::vector<std::uint64_t>{1, 2, 3}));
+  ASSERT_FALSE(cumulative.empty());
+  EXPECT_EQ(count, cumulative.back());
+  EXPECT_NE(prom.find("sdmpeb_test_snap_hist_sum 7.0"), std::string::npos);
+
+  const auto rows = read_jsonl_rows((dir / "metrics.jsonl").string());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].rfind("{\"t_s\":", 0), 0u) << rows[0];
+  EXPECT_NE(rows[0].find("\"test.snap_counter\":3"), std::string::npos);
+  EXPECT_NE(rows[0].find("\"test.snap_gauge\""), std::string::npos);
+  EXPECT_NE(rows[0].find("\"test.snap_hist\""), std::string::npos);
+  EXPECT_NE(rows[0].find("\"buckets\""), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 // Metrics registry hammered from the worker pool while another thread
@@ -319,17 +372,12 @@ TEST_F(ObsTest, MetricsSurviveConcurrentWritersAndMidFlightSnapshots) {
   const int previous = parallel::thread_count();
   parallel::set_thread_count(4);
 
+  const auto dir = fresh_temp_dir("sdmpeb_hammer_test");
   std::atomic<bool> done{false};
   std::atomic<int> snapshots{0};
   std::thread snapshotter([&] {
     while (!done.load(std::memory_order_relaxed)) {
-      std::ostringstream csv;
-      obs::write_metrics_csv(csv);
-      std::ostringstream js;
-      obs::write_metrics_json(js);
-      std::ostringstream prom;
-      obs::write_metrics_prometheus(prom);
-      check_balanced_json(js.str());
+      EXPECT_TRUE(obs::write_metrics_snapshot(dir.string()));
       snapshots.fetch_add(1, std::memory_order_relaxed);
     }
   });
@@ -354,6 +402,9 @@ TEST_F(ObsTest, MetricsSurviveConcurrentWritersAndMidFlightSnapshots) {
   snapshotter.join();
 
   EXPECT_GE(snapshots.load(), 1);
+  EXPECT_EQ(read_jsonl_rows((dir / "metrics.jsonl").string()).size(),
+            static_cast<std::size_t>(snapshots.load()));
+  std::filesystem::remove_all(dir);
   EXPECT_EQ(obs::counter("test.hammer_counter").value(),
             static_cast<std::uint64_t>(kChunks) * kAddsPerChunk);
   obs::Histogram& h = obs::histogram("test.hammer_hist", {8.0, 64.0});
@@ -368,9 +419,7 @@ TEST_F(ObsTest, MetricsSurviveConcurrentWritersAndMidFlightSnapshots) {
 }
 
 TEST_F(ObsTest, PeriodicFlushWritesPrometheusAndJsonlSnapshots) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("sdmpeb_flush_test_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
+  const auto dir = fresh_temp_dir("sdmpeb_flush_test");
 
   obs::counter("test.flush_counter").add(7);
   obs::PeriodicFlushOptions options;
@@ -393,19 +442,13 @@ TEST_F(ObsTest, PeriodicFlushWritesPrometheusAndJsonlSnapshots) {
             std::string::npos);
   EXPECT_NE(prom.find("sdmpeb_test_flush_counter 8"), std::string::npos);
 
-  const std::string jsonl = read_file_bytes((dir / "metrics.jsonl").string());
-  std::istringstream lines(jsonl);
-  std::string line;
-  std::size_t rows = 0;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    check_balanced_json(line);
+  const auto rows = read_jsonl_rows((dir / "metrics.jsonl").string());
+  for (const auto& line : rows) {
     EXPECT_EQ(line.rfind("{\"t_s\":", 0), 0u) << line;
     EXPECT_NE(line.find("\"seq\":"), std::string::npos);
     EXPECT_NE(line.find("\"metrics\":"), std::string::npos);
-    ++rows;
   }
-  EXPECT_EQ(rows, obs::periodic_flush_count());
+  EXPECT_EQ(rows.size(), obs::periodic_flush_count());
   std::filesystem::remove_all(dir);
 }
 

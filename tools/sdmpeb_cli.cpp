@@ -337,13 +337,11 @@ void print_usage() {
       "  common:   --clips N --seed S --bake-seconds T\n"
       "            --scale default|tiny (model scale, sdm only)\n"
       "            --trace PATH   (enable tracing, write Chrome trace JSON)\n"
-      "            --metrics PATH (write metrics CSV; implies tracing)\n"
+      "            --metrics DIR  (metrics.prom + metrics.jsonl snapshot dir,\n"
+      "                            default bench_out; implies tracing)\n"
       "            --perf 1       (sample perf counters per span; implies\n"
       "                            tracing; tier via SDMPEB_PERF)\n"
-      "            --flush-every SECS (periodic metrics.prom/.jsonl "
-      "snapshots)\n"
-      "            --flush-dir DIR    (flush output dir, default "
-      "bench_out)\n"
+      "            --flush-every SECS (also snapshot metrics every SECS)\n"
       "            SDMPEB_TRACE=1 enables tracing with default output paths\n"
       "  simulate: --out DIR\n"
       "  train:    --model sdm|deepcnn|tempo|fno|deepeb --epochs E "
@@ -369,18 +367,18 @@ void print_usage() {
 /// Resolve observability outputs: --trace/--metrics force tracing on;
 /// SDMPEB_TRACE=1 alone uses default paths under bench_out/. --perf 1
 /// additionally samples hardware counters around every span (implies
-/// tracing); --flush-every SECS starts the periodic Prometheus/JSONL
-/// flusher for long runs (--flush-dir overrides its output directory).
+/// tracing); --flush-every SECS starts the periodic flusher, which
+/// snapshots into the --metrics directory.
 struct ObsConfig {
   bool enabled = false;
   std::string trace_path;
-  std::string metrics_path;
+  std::string metrics_dir;
 };
 
 ObsConfig resolve_obs(const CliArgs& args) {
   ObsConfig cfg;
   cfg.trace_path = args.get("trace", "");
-  cfg.metrics_path = args.get("metrics", "");
+  cfg.metrics_dir = args.get("metrics", "bench_out");
   const std::string perf = args.get("perf", "");
   if (!perf.empty() && perf != "0" && perf != "off") {
     // The perfmon tier is resolved from SDMPEB_PERF on first sample; when
@@ -390,45 +388,38 @@ ObsConfig resolve_obs(const CliArgs& args) {
     obs::set_perf_spans_enabled(true);
     obs::set_trace_enabled(true);  // counters ride on spans
   }
-  if (!cfg.trace_path.empty() || !cfg.metrics_path.empty())
+  if (!cfg.trace_path.empty() || args.options.count("metrics") != 0)
     obs::set_trace_enabled(true);
   cfg.enabled = obs::trace_enabled();
   if (cfg.enabled && cfg.trace_path.empty())
     cfg.trace_path = "bench_out/trace.json";
-  if (cfg.enabled && cfg.metrics_path.empty())
-    cfg.metrics_path = "bench_out/metrics.csv";
 
   const double flush_every = std::atof(args.get("flush-every", "0").c_str());
   if (flush_every > 0.0) {
     obs::PeriodicFlushOptions options;
-    options.dir = args.get("flush-dir", "bench_out");
+    options.dir = cfg.metrics_dir;
     options.interval_s = flush_every;
     obs::start_periodic_flush(options);
   }
   return cfg;
 }
 
+/// Exit-time export. Writes files only: in serve mode stdout carries the
+/// binary protocol stream and nothing else.
 void dump_obs(const ObsConfig& cfg) {
-  // Stop the flusher before the final dump so the last snapshot and the
-  // dump see the same registry state.
+  // A running flusher's final flush is the exit snapshot.
+  const bool flushed = obs::periodic_flush_running();
   obs::stop_periodic_flush();
   if (!cfg.enabled) return;
-  obs::refresh_derived_metrics();
   const auto parent = std::filesystem::path(cfg.trace_path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent);
-  const auto metrics_parent =
-      std::filesystem::path(cfg.metrics_path).parent_path();
-  if (!metrics_parent.empty())
-    std::filesystem::create_directories(metrics_parent);
   if (obs::write_chrome_trace_file(cfg.trace_path)) {
     SDMPEB_LOG(obs::LogLevel::kInfo) << "trace: " << cfg.trace_path;
   }
-  if (obs::write_metrics_csv_file(cfg.metrics_path)) {
-    SDMPEB_LOG(obs::LogLevel::kInfo) << "metrics: " << cfg.metrics_path;
+  if (flushed || obs::write_metrics_snapshot(cfg.metrics_dir)) {
+    SDMPEB_LOG(obs::LogLevel::kInfo) << "metrics: " << cfg.metrics_dir
+                                     << "/metrics.{prom,jsonl}";
   }
-  std::ostringstream json;
-  obs::write_metrics_json(json);
-  std::printf("%s\n", json.str().c_str());
 }
 
 }  // namespace
