@@ -1,11 +1,17 @@
-// Continuous-benchmark reporter (DESIGN.md §12). Runs a fixed set of hot
-// kernels single-threaded, repeats each until the timing distribution is
-// stable (or a trial cap), and writes bench_out/report.json in the
-// sdmpeb-bench-report/1 schema for scripts/bench_compare.py to diff against
-// the checked-in bench/baselines/<backend>.json.
+// Kernel-timing harness and continuous-benchmark reporter (DESIGN.md §12).
+// Runs a fixed set of hot kernels single-threaded, repeats each until the
+// timing distribution is stable (or a trial cap), and writes
+// bench_out/report.json in the sdmpeb-bench-report/1 schema for
+// scripts/bench_compare.py to diff against the checked-in
+// bench/baselines/<backend>.json.
 //
-// Unlike bench_micro this binary has no google-benchmark dependency and no
-// training loops — it is meant to be cheap enough to run on every CI job.
+// The set holds the gated kernels and the design ablations of DESIGN.md §4
+// side by side: fused vs per-timestep composed selective scan, implicit ADI
+// vs explicit substepped PEB step, FIM vs FSM Eikonal, and the GEMM
+// roofline rungs (naive reference vs packed at 64^3..384^3; GF/s is each
+// row's "gflops" field, the scalar-vs-AVX2 ratio is the ratio of the two
+// backend reports). Every kernel's inputs are built once in kernel_set(),
+// outside the timed region.
 //
 // Noise handling: per kernel we report the median and IQR over trials;
 // trials repeat (min kMinTrials, max kMaxTrials) until IQR/median drops
@@ -16,6 +22,9 @@
 // Environment:
 //   SDMPEB_BACKEND=scalar|avx2   kernel backend (resolved by simd::active)
 //   SDMPEB_PERF=1|hw|sw          annotate kernels with counter medians
+//   SDMPEB_TRACE=1               also write trace.json and the metrics
+//                                snapshot metrics.{prom,jsonl} next to the
+//                                report
 //   SDMPEB_BENCH_SLOW=<kernel>   inject ~60% busy-wait into that kernel —
 //                                the CI gate's negative test: a compare
 //                                against a clean baseline MUST fail.
@@ -39,6 +48,12 @@
 #include "common/perfmon.hpp"
 #include "common/simd.hpp"
 #include "common/timer.hpp"
+#include "common/trace_export.hpp"
+#include "core/attention.hpp"
+#include "core/sdm_unit.hpp"
+#include "develop/eikonal.hpp"
+#include "develop/fast_sweeping.hpp"
+#include "fft/fft.hpp"
 #include "nn/ops.hpp"
 #include "peb/peb_solver.hpp"
 #include "report_json.hpp"
@@ -53,10 +68,9 @@ constexpr int kMinTrials = 7;
 constexpr int kMaxTrials = 25;
 constexpr double kStableRelIqr = 0.08;
 
-nn::Value random_value(Shape shape, std::uint64_t seed, bool grad = false) {
+nn::Value random_value(Shape shape, std::uint64_t seed) {
   Rng rng(seed);
-  return nn::make_value(Tensor::uniform(std::move(shape), rng, -1.0f, 1.0f),
-                        grad);
+  return nn::constant(Tensor::uniform(std::move(shape), rng, -1.0f, 1.0f));
 }
 
 struct Kernel {
@@ -65,11 +79,70 @@ struct Kernel {
   std::function<void()> run;   ///< one timed repetition
 };
 
+/// The selective-scan recurrence assembled from generic autograd ops, one
+/// graph node per op per timestep: the baseline the fused
+/// nn::ops::selective_scan is ablated against (DESIGN.md §4). Per-step
+/// slices are cut once up front, so a run times only the graph ops.
+Kernel composed_scan_kernel(std::int64_t seq, std::int64_t channels,
+                            std::int64_t states) {
+  struct Steps {
+    nn::Value h0, neg_a, ones_row;
+    std::vector<nn::Value> dt_col, xdt_col, b_row, c_col;
+  };
+  auto s = std::make_shared<Steps>();
+  Rng rng(7);
+  const Tensor x = Tensor::uniform(Shape{seq, channels}, rng);
+  const Tensor dt = Tensor::uniform(Shape{seq, channels}, rng, 0.05f, 0.2f);
+  const Tensor b = Tensor::uniform(Shape{seq, states}, rng);
+  const Tensor c = Tensor::uniform(Shape{seq, states}, rng);
+  s->h0 = nn::constant(Tensor::zeros(Shape{channels, states}));
+  s->neg_a = nn::constant(
+      Tensor::uniform(Shape{channels, states}, rng, -1.5f, -0.5f));
+  s->ones_row = nn::constant(Tensor::full(Shape{1, states}, 1.0f));
+  for (std::int64_t t = 0; t < seq; ++t) {
+    Tensor dt_col(Shape{channels, 1}), xdt_col(Shape{channels, 1});
+    for (std::int64_t ch = 0; ch < channels; ++ch) {
+      dt_col.at(ch, 0) = dt.at(t, ch);
+      xdt_col.at(ch, 0) = x.at(t, ch) * dt.at(t, ch);
+    }
+    Tensor b_row(Shape{1, states}), c_col(Shape{states, 1});
+    for (std::int64_t n = 0; n < states; ++n) {
+      b_row.at(0, n) = b.at(t, n);
+      c_col.at(n, 0) = c.at(t, n);
+    }
+    s->dt_col.push_back(nn::constant(std::move(dt_col)));
+    s->xdt_col.push_back(nn::constant(std::move(xdt_col)));
+    s->b_row.push_back(nn::constant(std::move(b_row)));
+    s->c_col.push_back(nn::constant(std::move(c_col)));
+  }
+  return {"selective_scan_composed_" + std::to_string(seq),
+          6.0 * seq * channels * states, [s, seq] {
+            nn::Value h = s->h0;
+            std::vector<nn::Value> ys;
+            ys.reserve(static_cast<std::size_t>(seq));
+            for (std::int64_t t = 0; t < seq; ++t) {
+              const auto ut = static_cast<std::size_t>(t);
+              // h <- exp(dt_t A) * h + (dt_t x_t) B_t^T;  y_t = h C_t.
+              auto decay = nnops::exp(
+                  nnops::mul(nnops::matmul(s->dt_col[ut], s->ones_row),
+                             s->neg_a));
+              h = nnops::add(nnops::mul(h, decay),
+                             nnops::matmul(s->xdt_col[ut], s->b_row[ut]));
+              ys.push_back(nnops::matmul(h, s->c_col[ut]));
+            }
+            nnops::concat_cols(ys);
+          }};
+}
+
 std::vector<Kernel> kernel_set() {
   std::vector<Kernel> kernels;
 
+  // GEMM roofline: the packed core walking the cache hierarchy, its naive
+  // reference at 256^3, and a lowered 3x3 conv layer shape
+  // (cout x hw x cin*kh*kw).
+  using GemmFn = decltype(&gemm::gemm_packed);
   const auto gemm_case = [](const char* name, std::int64_t m, std::int64_t n,
-                            std::int64_t k) {
+                            std::int64_t k, GemmFn fn) {
     Rng rng(23);
     auto a = std::make_shared<std::vector<float>>(
         static_cast<std::size_t>(m * k));
@@ -80,15 +153,36 @@ std::vector<Kernel> kernel_set() {
     for (auto& v : *a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
     for (auto& v : *b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
     return Kernel{name, 2.0 * static_cast<double>(m) * n * k, [=] {
-                    gemm::gemm_packed(m, n, k, a->data(), k, false, b->data(),
-                                      n, false, c->data(), n, 0.0f);
+                    fn(m, n, k, a->data(), k, false, b->data(), n, false,
+                       c->data(), n, 0.0f);
                   }};
   };
-  kernels.push_back(gemm_case("gemm_128", 128, 128, 128));
-  kernels.push_back(gemm_case("gemm_256", 256, 256, 256));
-  // Lowered 3x3 conv layer shape (cout x hw x cin*kh*kw).
-  kernels.push_back(gemm_case("gemm_conv_lowered", 8, 1024, 72));
+  kernels.push_back(gemm_case("gemm_64", 64, 64, 64, gemm::gemm_packed));
+  kernels.push_back(gemm_case("gemm_128", 128, 128, 128, gemm::gemm_packed));
+  kernels.push_back(gemm_case("gemm_256", 256, 256, 256, gemm::gemm_packed));
+  kernels.push_back(gemm_case("gemm_384", 384, 384, 384, gemm::gemm_packed));
+  kernels.push_back(
+      gemm_case("gemm_naive_256", 256, 256, 256, gemm::gemm_naive));
+  kernels.push_back(
+      gemm_case("gemm_conv_lowered", 8, 1024, 72, gemm::gemm_packed));
 
+  {
+    auto x = random_value(Shape{8, 16, 32, 32}, 13);
+    auto w = random_value(Shape{8, 8, 3, 3}, 14);
+    auto b = random_value(Shape{8}, 15);
+    kernels.push_back({"conv2d_per_depth_8c_16x32x32",
+                       2.0 * 8 * 16 * 32 * 32 * 8 * 9,
+                       [=] { nnops::conv2d_per_depth(x, w, b, 1, 1); }});
+  }
+  {
+    auto x = random_value(Shape{8, 16, 16, 16}, 24);
+    auto w = random_value(Shape{8, 8, 2, 2}, 25);
+    auto b = random_value(Shape{8}, 26);
+    kernels.push_back({"convt2d_8c_16x16x16", 2.0 * 8 * 16 * 16 * 16 * 8 * 4,
+                       [=] {
+                         nnops::conv_transpose2d_per_depth(x, w, b, 2, 0);
+                       }});
+  }
   {
     auto x = random_value(Shape{8, 16, 32, 32}, 13);
     auto w = random_value(Shape{8, 8, 3, 3, 3}, 14);
@@ -129,17 +223,25 @@ std::vector<Kernel> kernel_set() {
                        [=] { nnops::layer_norm(x, gamma, beta); }});
   }
   {
-    peb::PebParams params;
-    auto solver = std::make_shared<peb::PebSolver>(params);
-    Rng rng(19);
-    Grid3 acid0(16, 64, 64);
-    for (auto& v : acid0.data()) v = rng.uniform(0.0, 0.9);
-    auto state =
-        std::make_shared<peb::PebState>(solver->initial_state(acid0));
-    // 3 tridiagonal sweeps x ~8 flops/voxel plus the reaction halves.
-    kernels.push_back({"peb_step_adi_64", 3.0 * 8.0 * 16 * 64 * 64 +
-                                              2.0 * 12.0 * 16 * 64 * 64,
-                       [=] { solver->step(*state); }});
+    // Forward + inverse, so the grid returns to (a rounding of) itself and
+    // repeated runs never drift; 5 N log2 N flops per transform.
+    const std::int64_t depth = 16, n = 64;
+    Rng rng(12);
+    auto grid = std::make_shared<std::vector<fft::Complex>>(
+        static_cast<std::size_t>(depth * n * n));
+    for (auto& v : *grid) v = fft::Complex(rng.normal(), 0.0);
+    kernels.push_back({"fft3_16x64x64", 2.0 * 5.0 * 65536 * 16, [=] {
+                         fft::fft3(*grid, depth, n, n, false);
+                         fft::fft3(*grid, depth, n, n, true);
+                       }});
+  }
+  {
+    Rng rng(10);
+    auto attn = std::make_shared<core::EfficientSpatialSelfAttention>(
+        16, 1, 4, rng);
+    auto x = random_value(Shape{16 * 16 * 16, 16}, 11);
+    kernels.push_back({"attention_16x16x16_r4", 0.0,
+                       [=] { attn->forward(x, 16, 16, 16); }});
   }
   {
     const std::int64_t seq = 1024, channels = 32, states = 8;
@@ -153,6 +255,51 @@ std::vector<Kernel> kernel_set() {
                        // per step: decay+update+output over C*N lanes
                        6.0 * seq * channels * states,
                        [=] { nnops::selective_scan(x, delta, a_log, b, c, d); }});
+    kernels.push_back(composed_scan_kernel(seq, channels, states));
+  }
+  {
+    Rng rng(8);
+    core::SdmUnitConfig config;
+    config.channels = 16;
+    config.hidden = 32;
+    auto unit = std::make_shared<core::SdmUnit>(config, rng);
+    auto x = random_value(Shape{16 * 16 * 16, 16}, 9);
+    kernels.push_back({"sdm_unit_16x16x16", 0.0,
+                       [=] { unit->forward(x, 16, 16, 16); }});
+  }
+
+  // One rigorous bake step per diffusion scheme, each advancing its own
+  // state (the cost of a step does not depend on the concentrations).
+  const auto peb_step_case = [](const char* name, double flops,
+                                peb::DiffusionScheme scheme) {
+    peb::PebParams params;
+    params.scheme = scheme;
+    auto solver = std::make_shared<peb::PebSolver>(params);
+    Rng rng(19);
+    Grid3 acid0(16, 64, 64);
+    for (auto& v : acid0.data()) v = rng.uniform(0.0, 0.9);
+    auto state =
+        std::make_shared<peb::PebState>(solver->initial_state(acid0));
+    return Kernel{name, flops, [=] { solver->step(*state); }};
+  };
+  // 3 tridiagonal sweeps x ~8 flops/voxel plus the reaction halves.
+  kernels.push_back(peb_step_case(
+      "peb_step_adi_64", 3.0 * 8.0 * 16 * 64 * 64 + 2.0 * 12.0 * 16 * 64 * 64,
+      peb::DiffusionScheme::kImplicitLod));
+  kernels.push_back(peb_step_case("peb_step_explicit_64", 0.0,
+                                  peb::DiffusionScheme::kExplicitSubstepped));
+
+  {
+    Rng rng(20);
+    auto rate = std::make_shared<Grid3>(16, 64, 64);
+    for (auto& v : rate->data()) v = rng.uniform(0.1, 40.0);
+    const develop::EikonalSpacing spacing{4.0, 4.0, 5.0};
+    kernels.push_back({"eikonal_fim_16x64x64", 0.0, [=] {
+                         develop::solve_development_front(*rate, spacing);
+                       }});
+    kernels.push_back({"eikonal_fsm_16x64x64", 0.0, [=] {
+                         develop::solve_development_front_fsm(*rate, spacing);
+                       }});
   }
   return kernels;
 }
@@ -242,8 +389,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Single-threaded: pool-width variance would swamp the tolerance bands,
-  // and thread scaling has its own CSV (bench_micro).
+  // Single-threaded: pool-width variance would swamp the tolerance bands.
+  // Thread-count bit-identity is pinned by tests/parallel_test.cpp and pool
+  // utilisation by perfbench's *.cores_busy rows.
   parallel::set_thread_count(1);
   const char* slow_env = std::getenv("SDMPEB_BENCH_SLOW");
   const std::string slow_kernel = slow_env ? slow_env : "";
@@ -258,7 +406,7 @@ int main(int argc, char** argv) {
   for (const auto& kernel : kernels) {
     const auto stat = measure(kernel, kernel.name == slow_kernel);
     std::printf(
-        "[bench_report] %-22s median %9.3f ms  iqr %7.3f ms  (%d trials)\n",
+        "[bench_report] %-28s median %9.3f ms  iqr %7.3f ms  (%d trials)\n",
         stat.name.c_str(), stat.median_ms, stat.iqr_ms, stat.trials);
     writer.add(stat);
   }
@@ -267,5 +415,16 @@ int main(int argc, char** argv) {
   if (!parent.empty()) std::filesystem::create_directories(parent);
   writer.save(out_path, 1);
   std::printf("[bench_report] wrote %s\n", out_path.c_str());
+
+  // SDMPEB_TRACE=1: the Chrome trace and a metrics snapshot of the whole
+  // run, beside the report.
+  if (obs::trace_enabled()) {
+    const std::string dir = parent.empty() ? "." : parent.string();
+    if (obs::write_chrome_trace_file(dir + "/trace.json"))
+      std::printf("[bench_report] wrote %s/trace.json\n", dir.c_str());
+    if (obs::write_metrics_snapshot(dir))
+      std::printf("[bench_report] wrote %s/metrics.{prom,jsonl}\n",
+                  dir.c_str());
+  }
   return 0;
 }

@@ -1,8 +1,7 @@
 #pragma once
 
-// Structured benchmark report writer shared by bench_report (the canonical
-// bench_out/report.json producer consumed by scripts/bench_compare.py) and
-// bench_micro (which emits the same schema alongside its CSVs).
+// Structured benchmark report writer for bench_report, the one kernel-timing
+// harness; its bench_out/report.json is consumed by scripts/bench_compare.py.
 //
 // Schema "sdmpeb-bench-report/1":
 //   {

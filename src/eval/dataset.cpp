@@ -39,8 +39,14 @@ DatasetConfig DatasetConfig::small() {
 }
 
 void DatasetConfig::validate() const {
-  SDMPEB_CHECK(clip_count >= 2);
   SDMPEB_CHECK(train_fraction > 0.0 && train_fraction < 1.0);
+  const auto train_count =
+      std::lround(train_fraction * static_cast<double>(clip_count));
+  SDMPEB_CHECK_MSG(train_count >= 1 && train_count < clip_count,
+                   "clip_count (--clips) " << clip_count << " at train_fraction "
+                       << train_fraction << " leaves no "
+                       << (train_count < 1 ? "training" : "validation")
+                       << " clip");
   SDMPEB_CHECK_MSG(std::abs(mask.pixel_nm - peb.dx_nm) < 1e-9 &&
                        std::abs(mask.pixel_nm - peb.dy_nm) < 1e-9,
                    "mask pixel pitch must match the PEB lateral spacing");
@@ -69,7 +75,6 @@ Dataset build_dataset(const DatasetConfig& config) {
 
   const auto train_count = static_cast<std::size_t>(
       std::lround(config.train_fraction * static_cast<double>(clips.size())));
-  SDMPEB_CHECK(train_count >= 1 && train_count < clips.size());
 
   for (std::size_t i = 0; i < clips.size(); ++i) {
     ClipSample sample;

@@ -4,22 +4,9 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/obs.hpp"
 #include "common/simd.hpp"
 
 namespace sdmpeb::peb {
-
-void TridiagSolver::solve(std::span<const double> sub,
-                          std::span<const double> diag,
-                          std::span<const double> sup,
-                          std::span<const double> rhs,
-                          std::span<double> solution,
-                          TridiagWorkspace& workspace) {
-  const std::size_t n = diag.size();
-  workspace.c.resize(n);
-  workspace.d.resize(n);
-  solve(sub, diag, sup, rhs, solution, workspace.c, workspace.d);
-}
 
 void TridiagSolver::solve(std::span<const double> sub,
                           std::span<const double> diag,
@@ -33,13 +20,6 @@ void TridiagSolver::solve(std::span<const double> sub,
   SDMPEB_CHECK(sub.size() == n && sup.size() == n && rhs.size() == n &&
                solution.size() == n);
   SDMPEB_CHECK(c_scratch.size() >= n && d_scratch.size() >= n);
-
-  // Per-line counter only — a span here would flood the rings (one solve
-  // per grid line per sweep); the enclosing ADI sweep carries the span.
-  if (obs::trace_enabled()) {
-    static obs::Counter& solves = obs::counter("peb.tridiag_solves");
-    solves.add(1);
-  }
 
   auto c = c_scratch;
   auto d = d_scratch;

@@ -6,48 +6,21 @@
 
 namespace sdmpeb::peb {
 
-/// Caller-owned scratch for TridiagSolver::solve. Concurrent line solves
-/// (the parallel ADI sweeps) each hold their own workspace, so nothing
-/// mutable is shared between threads; buffers are sized on first use and
-/// reused across solves.
-struct TridiagWorkspace {
-  std::vector<double> c;
-  std::vector<double> d;
-};
-
-/// Thomas-algorithm solver for tridiagonal systems, the kernel of the
-/// locally-one-dimensional implicit diffusion steps. Solves
+/// Thomas-algorithm solver for tridiagonal systems: the reference the
+/// production ADI sweeps (TridiagFactors + adi_solve_lines below) are tested
+/// against. Solves
 ///   sub[i] * x[i-1] + diag[i] * x[i] + sup[i] * x[i+1] = rhs[i]
 /// with sub[0] and sup[n-1] ignored. Requires a diagonally dominant system
 /// (always true for backward-Euler diffusion matrices).
 class TridiagSolver {
  public:
-  /// Stateless solve into caller-owned scratch — safe to run concurrently
-  /// as long as each caller passes a distinct workspace.
-  static void solve(std::span<const double> sub, std::span<const double> diag,
-                    std::span<const double> sup, std::span<const double> rhs,
-                    std::span<double> solution, TridiagWorkspace& workspace);
-
-  /// Span-scratch variant for callers that manage their own buffers (the
-  /// ADI sweeps hand out WorkspaceArena slices so steady-state solves never
-  /// allocate). c_scratch and d_scratch must each hold diag.size() doubles
-  /// and be distinct from every other span.
+  /// Stateless solve into caller-owned scratch: safe to run concurrently as
+  /// long as each caller passes distinct spans. c_scratch and d_scratch must
+  /// each hold diag.size() doubles and be distinct from every other span.
   static void solve(std::span<const double> sub, std::span<const double> diag,
                     std::span<const double> sup, std::span<const double> rhs,
                     std::span<double> solution, std::span<double> c_scratch,
                     std::span<double> d_scratch);
-
-  /// Convenience overload backed by this instance's workspace. NOT safe to
-  /// share one solver across threads; prefer the static overload in
-  /// parallel code.
-  void solve(std::span<const double> sub, std::span<const double> diag,
-             std::span<const double> sup, std::span<const double> rhs,
-             std::span<double> solution) {
-    solve(sub, diag, sup, rhs, solution, workspace_);
-  }
-
- private:
-  TridiagWorkspace workspace_;
 };
 
 /// Prefactored shared-band Thomas coefficients for batched ADI sweeps.

@@ -16,6 +16,7 @@
 #include "core/losses.hpp"
 #include "core/sdm_peb_model.hpp"
 #include "core/trainer.hpp"
+#include "eval/dataset.hpp"
 #include "io/volume_io.hpp"
 #include "nn/ops.hpp"
 #include "nn/optim.hpp"
@@ -164,6 +165,24 @@ TEST(TrainerErrors, RejectsEmptyDataAndBadShapes) {
   std::vector<core::TrainSample> bad = {
       {Tensor(Shape{2, 8, 8}), Tensor(Shape{2, 8, 4})}};
   EXPECT_THROW(core::train_model(model, bad, config, train_rng), Error);
+}
+
+TEST(DatasetErrors, SplitMustLeaveAValidationClip) {
+  // Two clips at the default 0.75 split round to two training clips and no
+  // validation clip: rejected up front, naming the knobs to change.
+  auto config = eval::DatasetConfig::small();
+  config.clip_count = 2;
+  try {
+    config.validate();
+    FAIL() << "clip_count 2 validated";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    for (const char* part :
+         {"clip_count", "--clips", "train_fraction", "no validation clip"})
+      EXPECT_NE(what.find(part), std::string::npos) << part << " in " << what;
+  }
+  config.clip_count = 3;
+  EXPECT_NO_THROW(config.validate());
 }
 
 TEST(OptimErrors, AdamRejectsNonGradParams) {

@@ -220,7 +220,7 @@ TEST_F(ParallelTest, PebSolveBitwiseIdenticalAcrossThreadCounts) {
 
 // ---------------------------------------------------------------------------
 // TridiagSolver with caller-owned scratch: interleaved solves on separate
-// workspaces must match sequential solves (no hidden shared state).
+// scratch spans must match sequential solves (no hidden shared state).
 // ---------------------------------------------------------------------------
 
 struct TridiagSystem {
@@ -249,25 +249,25 @@ TEST(Tridiag, InterleavedSolvesMatchSequential) {
   const auto sys_a = make_system(kN, 1);
   const auto sys_b = make_system(kN, 2);
 
-  // Sequential reference, one workspace reused across rounds.
+  // Sequential reference, one scratch pair reused across both systems.
   std::vector<double> ref_a(kN), ref_b(kN);
   {
-    peb::TridiagWorkspace ws;
+    std::vector<double> c(kN), d(kN);
     peb::TridiagSolver::solve(sys_a.sub, sys_a.diag, sys_a.sup, sys_a.rhs,
-                              ref_a, ws);
+                              ref_a, c, d);
     peb::TridiagSolver::solve(sys_b.sub, sys_b.diag, sys_b.sup, sys_b.rhs,
-                              ref_b, ws);
+                              ref_b, c, d);
   }
 
   // Two threads hammer the two systems concurrently, each thread with its
-  // own workspace. Every round must reproduce the sequential solution.
+  // own scratch. Every round must reproduce the sequential solution.
   std::atomic<int> mismatches{0};
   auto worker = [&](const TridiagSystem& sys,
                     const std::vector<double>& expected) {
-    peb::TridiagWorkspace ws;
-    std::vector<double> out(kN);
+    std::vector<double> out(kN), c(kN), d(kN);
     for (int round = 0; round < kRounds; ++round) {
-      peb::TridiagSolver::solve(sys.sub, sys.diag, sys.sup, sys.rhs, out, ws);
+      peb::TridiagSolver::solve(sys.sub, sys.diag, sys.sup, sys.rhs, out, c,
+                                d);
       for (std::size_t i = 0; i < kN; ++i)
         if (out[i] != expected[i]) mismatches.fetch_add(1);
     }
@@ -277,17 +277,6 @@ TEST(Tridiag, InterleavedSolvesMatchSequential) {
   ta.join();
   tb.join();
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(Tridiag, LegacyInstanceOverloadStillSolves) {
-  const auto sys = make_system(16, 3);
-  std::vector<double> via_static(16), via_instance(16);
-  peb::TridiagWorkspace ws;
-  peb::TridiagSolver::solve(sys.sub, sys.diag, sys.sup, sys.rhs, via_static,
-                            ws);
-  peb::TridiagSolver solver;
-  solver.solve(sys.sub, sys.diag, sys.sup, sys.rhs, via_instance);
-  EXPECT_EQ(via_static, via_instance);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "peb/peb_solver.hpp"
 #include "peb/tridiag.hpp"
 
@@ -35,43 +39,106 @@ TEST(TableI, DiffusionCoefficientsFromLengths) {
   EXPECT_NEAR(p.base_diff_z(), 225.0 / 180.0, 1e-12);
 }
 
+/// TridiagSolver::solve with scratch sized to the system.
+std::vector<double> thomas(std::span<const double> sub,
+                           std::span<const double> diag,
+                           std::span<const double> sup,
+                           std::span<const double> rhs) {
+  std::vector<double> x(diag.size()), c(diag.size()), d(diag.size());
+  TridiagSolver::solve(sub, diag, sup, rhs, x, c, d);
+  return x;
+}
+
 TEST(Tridiag, SolvesKnownSystem) {
   // [2 1 0; 1 2 1; 0 1 2] x = [4; 8; 8] -> x = [1; 2; 3].
   std::vector<double> sub{0.0, 1.0, 1.0};
   std::vector<double> diag{2.0, 2.0, 2.0};
   std::vector<double> sup{1.0, 1.0, 0.0};
   std::vector<double> rhs{4.0, 8.0, 8.0};
-  std::vector<double> x(3);
-  TridiagSolver solver;
-  solver.solve(sub, diag, sup, rhs, x);
+  const auto x = thomas(sub, diag, sup, rhs);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
   EXPECT_NEAR(x[2], 3.0, 1e-12);
 }
 
 TEST(Tridiag, SingleElementAndResidualCheck) {
-  TridiagSolver solver;
-  std::vector<double> one{0.0}, d{4.0}, s{0.0}, r{8.0}, x(1);
-  solver.solve(one, d, s, r, x);
-  EXPECT_DOUBLE_EQ(x[0], 2.0);
+  std::vector<double> one{0.0}, d{4.0}, s{0.0}, r{8.0};
+  EXPECT_DOUBLE_EQ(thomas(one, d, s, r)[0], 2.0);
 
   // Random diagonally dominant system: verify by residual.
   Rng rng(1);
   const std::size_t n = 20;
-  std::vector<double> sub(n), diag(n), sup(n), rhs(n), sol(n);
+  std::vector<double> sub(n), diag(n), sup(n), rhs(n);
   for (std::size_t i = 0; i < n; ++i) {
     sub[i] = rng.uniform(-1.0, 1.0);
     sup[i] = rng.uniform(-1.0, 1.0);
     diag[i] = 3.0 + rng.uniform(0.0, 1.0);
     rhs[i] = rng.uniform(-5.0, 5.0);
   }
-  solver.solve(sub, diag, sup, rhs, sol);
+  const auto sol = thomas(sub, diag, sup, rhs);
   for (std::size_t i = 0; i < n; ++i) {
     double lhs = diag[i] * sol[i];
     if (i > 0) lhs += sub[i] * sol[i - 1];
     if (i + 1 < n) lhs += sup[i] * sol[i + 1];
     EXPECT_NEAR(lhs, rhs[i], 1e-9);
   }
+}
+
+// The production ADI sweeps solve through TridiagFactors + adi_solve_lines;
+// TridiagSolver is their reference. The scalar path performs, per lane, the
+// exact op sequence of TridiagSolver::solve with rhs0_add folded into rhs[0]
+// and the >= 0 clamp on writeback, so the two must agree bit for bit for
+// every lane count and both line geometries (contiguous lanes as in the z/y
+// sweeps, strided lanes as in the x sweep).
+TEST(Tridiag, ScalarAdiLinesMatchReferenceBitwise) {
+  const simd::Isa isa = simd::active();
+  simd::set_active(simd::Isa::kScalar);
+  const std::int64_t n = 23;
+  const double rhs0_add = 0.375;
+  Rng rng(5);
+  std::vector<double> sub(n), diag(n), sup(n);
+  for (std::int64_t i = 0; i < n; ++i) {
+    sub[i] = rng.uniform(-1.0, 1.0);
+    sup[i] = rng.uniform(-1.0, 1.0);
+    diag[i] = 3.0 + rng.uniform(0.0, 1.0);
+  }
+  TridiagFactors factors;
+  factors.factor(sub, diag, sup);
+  std::vector<double> d_scratch(static_cast<std::size_t>(4 * n));
+
+  for (int lanes = 1; lanes <= 4; ++lanes) {
+    struct Geometry {
+      std::int64_t elem_stride, lane_stride;
+    };
+    for (const Geometry geo : {Geometry{lanes, 1}, Geometry{1, n}}) {
+      // Signed rhs so the clamp is exercised.
+      std::vector<double> grid(static_cast<std::size_t>(lanes * n));
+      for (auto& v : grid) v = rng.uniform(-1.0, 1.0);
+      const auto at = [&](int lane, std::int64_t i) {
+        return static_cast<std::size_t>(i * geo.elem_stride +
+                                        lane * geo.lane_stride);
+      };
+      std::vector<std::vector<double>> expected;
+      for (int lane = 0; lane < lanes; ++lane) {
+        std::vector<double> rhs(n);
+        for (std::int64_t i = 0; i < n; ++i) rhs[i] = grid[at(lane, i)];
+        rhs[0] += rhs0_add;
+        auto x = thomas(sub, diag, sup, rhs);
+        for (auto& v : x) v = std::max(v, 0.0);
+        expected.push_back(std::move(x));
+      }
+      adi_solve_lines(factors, n, grid.data(), geo.elem_stride,
+                      geo.lane_stride, lanes, rhs0_add, d_scratch);
+      for (int lane = 0; lane < lanes; ++lane)
+        for (std::int64_t i = 0; i < n; ++i)
+          ASSERT_EQ(grid[at(lane, i)],
+                    expected[static_cast<std::size_t>(lane)]
+                            [static_cast<std::size_t>(i)])
+              << "lanes=" << lanes << " elem_stride=" << geo.elem_stride
+              << " lane=" << lane << " i=" << i;
+    }
+  }
+  simd::set_active(isa);
 }
 
 PebParams reaction_only_params() {
